@@ -8,6 +8,14 @@ values are kept for diagnostics); the mass that leaves through a source
 boundary face re-enters as a point source in the cell next to its image
 face, so total mass is conserved structurally rather than asymptotically.
 Terminal states accumulate the outflux of their boundary faces.
+
+The whole update is linear, so each grid assembles it once, on first use, as
+a sparse forward operator (`GridLayout.forward_operator`): cell rates L_h,
+terminal rates T and raw boundary outflux B, built from the same face
+coefficients as `probability_current`.  `evolve` is a numpy matvec per step
+with the same per-step checks; `stationary_density` is a sparse LU solve and
+the only place that loads scipy.  `probability_current`, `divergence_rates`
+and `transfer_flux` stay as the reference path and diagnostics.
 """
 
 from __future__ import annotations
@@ -164,6 +172,11 @@ class GridLayout:
         if "stability" not in self._caches:
             self._caches["stability"] = _stability_bound(self.model, self)
         return self._caches["stability"]
+
+    def forward_operator(self) -> "ForwardOperator":
+        if "operator" not in self._caches:
+            self._caches["operator"] = _assemble_operator(self)
+        return self._caches["operator"]
 
 
 def build_grid(model: HybridModel, resolution) -> GridLayout:
@@ -836,6 +849,173 @@ def _check_outflux(raw, neg_tol, edge_index):
         )
 
 
+# ---------------------------------------------------------------------------
+# assembled forward operator
+
+
+@dataclass(frozen=True)
+class ForwardOperator:
+    """The linear forward operator of a grid as (rows, cols, vals) triplets.
+
+    Cells are numbered mode by mode in C order; mode q starts at
+    `offsets[q]`.  `rate` is L_h (dp/dt per cell, reset injection included),
+    `terminal` is T (mass per unit time into each of the model's terminal
+    states, in order) and `outflux` is B (the raw outflux J.nu of every
+    boundary face before any clamp, table by table).  Each face coefficient
+    enters its two cells, or its source cell and its injection cell or
+    terminal, with opposite signs, so the volume-weighted column sums of
+    [L_h; T] vanish up to rounding.  Reset-image faces are walls.
+    """
+
+    shapes: tuple
+    offsets: np.ndarray
+    rate: tuple
+    terminal: tuple
+    outflux: tuple
+
+    @property
+    def n_cells(self) -> int:
+        return int(self.offsets[-1])
+
+    def split(self, flat: np.ndarray) -> list:
+        """Per-mode views of a flat cell vector."""
+        return [
+            flat[self.offsets[m] : self.offsets[m + 1]].reshape(shape)
+            for m, shape in enumerate(self.shapes)
+        ]
+
+
+def _matvec(triplets, p: np.ndarray, n_rows: int) -> np.ndarray:
+    rows, cols, vals = triplets
+    return np.bincount(rows, vals * p[cols], minlength=n_rows)
+
+
+def _assemble_operator(grid: GridLayout) -> ForwardOperator:
+    """L_h, T and B from the sampled face coefficients, all faces at once."""
+    model = grid.model
+    shapes = tuple(mg.shape for mg in grid.mode_grids)
+    offsets = np.concatenate(([0], np.cumsum([int(np.prod(s)) for s in shapes])))
+    # every boundary side has exactly one table; B numbers its faces in order
+    boundary = {}
+    n_out = 0
+    for tab in grid.surface_tables + grid.terminal_tables:
+        boundary[(tab.source_mode, tab.src_axis, tab.src_side)] = (tab, n_out)
+        mg = grid.mode_grids[tab.source_mode]
+        n_out += 1 if mg.dimension == 1 else mg.shape[1 - tab.src_axis]
+    terminal_row = {name: i for i, name in enumerate(model.terminal_states)}
+
+    rate, terminal, outflux = [], [], []
+    for q, mg in enumerate(grid.mode_grids):
+        d = mg.dimension
+        cache = grid.stencil_cache(q)
+        for axis in range(d):
+            n = mg.shape[axis]
+            face_shape = tuple(s + (k == axis) for k, s in enumerate(mg.shape))
+            face, cell, w = _face_current_terms(mg, cache, axis)
+            fidx = np.unravel_index(face, face_shape)
+            fk = fidx[axis]
+            ft = fidx[1 - axis] if d == 2 else np.zeros_like(fk)
+            col = offsets[q] + cell
+            wall = np.zeros(face_shape, dtype=bool)
+            for j_h, tang in grid.h_faces(q, axis):
+                wall[_index(axis, j_h, tang)] = True
+            wall = wall.reshape(-1)[face]
+            coef = w * (mg.face_area(axis) / mg.cell_volume)
+            # what crosses a face leaves its lower cell and enters its upper one
+            for sel, k_cell, sign in ((fk >= 1, fk - 1, -1.0), (fk < n, fk, 1.0)):
+                sel = sel & ~wall
+                ridx = _index(axis, k_cell[sel], ft[sel] if d == 2 else None)
+                rows = offsets[q] + np.ravel_multi_index(ridx, mg.shape)
+                rate.append((rows, col[sel], sign * coef[sel]))
+            for side, at in ((0, fk == 0), (1, fk == n)):
+                tab, start = boundary[(q, axis, side)]
+                raw = w[at] if side else -w[at]
+                tang = ft[at]
+                outflux.append((start + tang, col[at], raw))
+                if isinstance(tab, TransferTable):
+                    tg = grid.mode_grids[tab.target_mode]
+                    tidx = _index(
+                        tab.h_axis,
+                        tab.inject_k_index[tang],
+                        None if d == 1 else tab.tgt_tangential[tang],
+                    )
+                    rows = offsets[tab.target_mode] + np.ravel_multi_index(tidx, tg.shape)
+                    rate.append((rows, col[at], raw * (tab.source_area / tg.cell_volume)))
+                else:
+                    rows = np.full(tang.shape, terminal_row[tab.terminal])
+                    terminal.append((rows, col[at], raw * mg.face_area(axis)))
+
+    n_cells = int(offsets[-1])
+    return ForwardOperator(
+        shapes=shapes,
+        offsets=offsets,
+        rate=_coalesce(rate, n_cells),
+        terminal=_coalesce(terminal, n_cells),
+        outflux=_coalesce(outflux, n_cells),
+    )
+
+
+def _index(axis: int, along, tangential) -> tuple:
+    """Grid index from the coordinate along `axis` and, in 2D, the other one."""
+    if tangential is None:
+        return (along,)
+    return (along, tangential) if axis == 0 else (tangential, along)
+
+
+def _face_current_terms(mg: ModeGrid, cache: dict, axis: int):
+    """(face, cell, weight) with J.e_axis = sum weight * p[cell] on every face.
+
+    The same stencils as `_current_1d` / `_current_2d`: centred face values
+    and normal differences with absorbing ghosts (a ghost cell is the negated
+    edge cell), and in 2D the face mean of centred tangential differences,
+    replicated at the boundary faces and ghosted along the tangent.
+    """
+    d = mg.dimension
+    tax = 1 - axis
+    face_shape = tuple(s + (k == axis) for k, s in enumerate(mg.shape))
+    fidx = np.indices(face_shape).reshape(d, -1)
+    fk = fidx[axis]
+    ft = fidx[tax] if d == 2 else None
+    face = np.arange(fk.size)
+    terms = []
+
+    def emit(coef, ik, it, field=None):
+        # at most one index lies one cell outside: that ghost is the negated edge cell
+        idx = _index(axis, ik, it)
+        ghost = np.any([(i < 0) | (i >= n) for i, n in zip(idx, mg.shape)], axis=0)
+        cell = np.ravel_multi_index(idx, mg.shape, mode="clip")
+        w = np.where(ghost, -coef, coef)
+        if field is not None:
+            w = w * field.reshape(-1)[cell]
+        terms.append((face, cell, w))
+
+    half_a0 = 0.5 * cache[("A0f", axis)].reshape(-1)
+    emit(half_a0, fk - 1, ft)
+    emit(half_a0, fk, ft)
+    for a_cell, a_face in zip(cache["A_cell"], cache[("Af", axis)]):
+        c = -0.5 * a_face.reshape(-1)
+        emit(c / mg.dx[axis], fk, ft, a_cell[..., axis])
+        emit(-c / mg.dx[axis], fk - 1, ft, a_cell[..., axis])
+        if d == 2:
+            ct = 0.25 * c / mg.dx[tax]
+            for ik in (np.maximum(fk - 1, 0), np.minimum(fk, mg.shape[axis] - 1)):
+                emit(ct, ik, ft + 1, a_cell[..., tax])
+                emit(-ct, ik, ft - 1, a_cell[..., tax])
+    return tuple(np.concatenate(parts) for parts in zip(*terms))
+
+
+def _coalesce(parts, n_cols: int):
+    """Sum duplicate (row, col) entries, drop exact zeros, sort by row."""
+    if not parts:
+        return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    keys, inverse = np.unique(rows.astype(np.int64) * n_cols + cols, return_inverse=True)
+    summed = np.bincount(inverse, vals)
+    nz = summed != 0.0
+    keys = keys[nz]
+    return ((keys // n_cols).astype(np.intp), (keys % n_cols).astype(np.intp), summed[nz])
+
+
 def _stability_bound(model, grid: GridLayout) -> float:
     a_max = 0.0
     b_max = 0.0
@@ -863,10 +1043,14 @@ def stable_dt(grid: GridLayout, fraction: float = 1.0) -> float:
 def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: float, n_steps: int) -> DensityState:
     """Advance the density n_steps explicit Euler steps of size dt.
 
-    Each step applies the absorbing boundary condition, assembles the
-    current, adds the flux-form divergence, and routes boundary outflux into
-    image-face sources and terminal masses.  Mass is conserved after every
-    step up to rounding.
+    Each step applies the grid's assembled forward operator to the pre-step
+    density: the raw boundary outflux B p, the cell rates L_h p (image-face
+    sources included) and the terminal rates T p.  A step on which some raw
+    outflux is negative goes through `probability_current`,
+    `divergence_rates` and `transfer_flux` instead, which clamp it, or refuse
+    it beyond tolerance with NegativeOutflux.  Mass is conserved after every
+    step up to rounding; a density undershooting the rounding band raises
+    NegativeDensity.
     """
     if n_steps < 0:
         raise SolverError("n_steps must be >= 0")
@@ -876,28 +1060,46 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     if dt > bound * (1.0 + 1e-12):
         raise StabilityViolation(f"dt {dt} exceeds the stability bound {bound:.6e}")
 
-    state = density.copy()
-    vols = [mg.cell_volume for mg in grid.mode_grids]
+    op = grid.forward_operator()
+    n = op.n_cells
+    names = model.terminal_states
+    step_rate = op.rate[:2] + (dt * op.rate[2],)
+    step_terminal = op.terminal[:2] + (dt * op.terminal[2],)
+    p = np.concatenate([np.asarray(arr, dtype=float).reshape(-1) for arr in density.p])
+    q = np.array([density.q.get(name, 0.0) for name in names], dtype=float)
+    t = density.t
     for _ in range(n_steps):
-        ghosted = apply_absorbing_bc(model, grid, state)
-        current = probability_current(model, grid, ghosted)
-        rates = divergence_rates(grid, current)
-        sources, terminal_rates, _ = transfer_flux(model, grid, current)
-        max_p = 0.0
-        for q_idx in range(len(state.p)):
-            state.p[q_idx] += dt * (rates[q_idx] + sources[q_idx] / vols[q_idx])
-            max_p = max(max_p, float(np.max(state.p[q_idx])))
-        for name, rate in terminal_rates.items():
-            state.q[name] = state.q.get(name, 0.0) + dt * rate
-        state.t += dt
-        tol = _NEG_DENSITY_REL_TOL * max(max_p, 1e-300)
-        for q_idx in range(len(state.p)):
-            worst = float(np.min(state.p[q_idx]))
-            if worst < -tol:
-                raise NegativeDensity(
-                    f"mode {q_idx} density undershot to {worst:.3e} at t={state.t:.6g}"
-                )
-    return state
+        raw = _matvec(op.outflux, p, 0)
+        if np.min(raw, initial=0.0) < 0.0:
+            state = DensityState(op.split(p), dict(zip(names, q.tolist())), t)
+            _reference_step(model, grid, state, dt)
+            q = np.array([state.q[name] for name in names], dtype=float)
+        else:
+            q += _matvec(step_terminal, p, len(names))
+            p += _matvec(step_rate, p, n)
+        t += dt
+        if p.min() < 0.0:
+            tol = _NEG_DENSITY_REL_TOL * max(float(p.max()), 1e-300)
+            for q_idx, arr in enumerate(op.split(p)):
+                worst = float(np.min(arr))
+                if worst < -tol:
+                    raise NegativeDensity(
+                        f"mode {q_idx} density undershot to {worst:.3e} at t={t:.6g}"
+                    )
+    terms = dict(density.q)
+    terms.update(zip(names, q.tolist()))
+    return DensityState(op.split(p), terms, t)
+
+
+def _reference_step(model: HybridModel, grid: GridLayout, state: DensityState, dt: float):
+    """One explicit step in place through the face currents and the clamp."""
+    current = probability_current(model, grid, state)
+    rates = divergence_rates(grid, current)
+    sources, terminal_rates, _ = transfer_flux(model, grid, current)
+    for q_idx, mg in enumerate(grid.mode_grids):
+        state.p[q_idx] += dt * (rates[q_idx] + sources[q_idx] / mg.cell_volume)
+    for name, rate in terminal_rates.items():
+        state.q[name] = state.q.get(name, 0.0) + dt * rate
 
 
 def _stationary_support(grid: GridLayout):
@@ -951,61 +1153,54 @@ def _stationary_support(grid: GridLayout):
 
 
 def stationary_density(model: HybridModel, grid: GridLayout) -> DensityState:
-    """Stationary mode densities by a direct nullspace solve.
+    """Stationary mode densities by a sparse direct solve.
 
     The one-step update is linear in the density (the outflux clamp is
     inactive on nonnegative inputs), so the stationary profile solves
-    L_h p = 0 for the assembled rate operator, normalised to unit mass and
-    restricted to the reset-fed support (regions behind image-face walls
-    only drain and are pinned to zero).  Tiny negative entries from the
-    solve are clipped and renormalised.
+    L_h p = 0 for the assembled operator, restricted to the reset-fed support
+    (regions behind image-face walls only drain and are pinned to zero).  The
+    last equation, redundant when no terminal drains the support, is replaced
+    by unit mass and the system is solved by sparse LU.  Tiny negative
+    entries from the solve are clipped and renormalised.  scipy is imported
+    here, so only callers of this function load it.
     """
-    shapes = [mg.shape for mg in grid.mode_grids]
-    sizes = [int(np.prod(s)) for s in shapes]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    n_tot = offsets[-1]
-    vols = [mg.cell_volume for mg in grid.mode_grids]
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
 
+    op = grid.forward_operator()
+    n = op.n_cells
+    vol = np.concatenate(
+        [np.full(int(np.prod(mg.shape)), mg.cell_volume) for mg in grid.mode_grids]
+    )
     support = _stationary_support(grid)
     if support is None:
-        keep = np.ones(n_tot, dtype=bool)
+        keep = np.ones(n, dtype=bool)
     else:
         keep = np.concatenate([m.reshape(-1) for m in support])
     keep_idx = np.flatnonzero(keep)
+    m = keep_idx.size
+    pos = np.full(n, m)
+    pos[keep_idx] = np.arange(m)
 
-    matrix = np.zeros((n_tot, keep_idx.size))
-    basis = DensityState(
-        [np.zeros(s) for s in shapes], {name: 0.0 for name in model.terminal_states}, 0.0
+    rows, cols, vals = op.rate
+    sel = (pos[rows] < m - 1) & keep[cols]
+    matrix = csc_matrix(
+        (
+            np.concatenate([vals[sel], vol[keep_idx]]),
+            (
+                np.concatenate([pos[rows[sel]], np.full(m, m - 1)]),
+                np.concatenate([pos[cols[sel]], np.arange(m)]),
+            ),
+        ),
+        shape=(m, m),
     )
-    flats = [arr.reshape(-1) for arr in basis.p]
-    for col, global_idx in enumerate(keep_idx):
-        q_idx = int(np.searchsorted(offsets, global_idx, side="right")) - 1
-        cell = int(global_idx - offsets[q_idx])
-        flats[q_idx][cell] = 1.0
-        current = probability_current(model, grid, basis)
-        rates = divergence_rates(grid, current)
-        sources, _, _ = transfer_flux(model, grid, current)
-        matrix[:, col] = np.concatenate(
-            [(rates[m] + sources[m] / vols[m]).reshape(-1) for m in range(len(shapes))]
-        )
-        flats[q_idx][cell] = 0.0
-
-    # augmented least squares: L p = 0 subject to unit mass; the mass row is
-    # scaled to the operator's magnitude so the constraint binds tightly
-    vol_row = np.concatenate([np.full(sizes[m], vols[m]) for m in range(len(shapes))])
-    scale = max(float(np.max(np.abs(matrix))), 1.0)
-    stacked = np.vstack([matrix[keep_idx], scale * vol_row[keep_idx]])
-    rhs = np.zeros(keep_idx.size + 1)
-    rhs[-1] = scale
-    packed = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-    solution = np.zeros(n_tot)
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
+    packed = splu(matrix).solve(rhs)
+    solution = np.zeros(n)
     solution[keep_idx] = np.maximum(packed, 0.0)
-    solution /= float(solution @ vol_row)
-    arrays = [
-        solution[offsets[m] : offsets[m + 1]].reshape(shapes[m])
-        for m in range(len(shapes))
-    ]
-    return DensityState(arrays, {name: 0.0 for name in model.terminal_states}, 0.0)
+    solution /= float(solution @ vol)
+    return DensityState(op.split(solution), {name: 0.0 for name in model.terminal_states}, 0.0)
 
 
 def run_to_stationarity(

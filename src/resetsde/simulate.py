@@ -35,6 +35,7 @@ _NOISE_BLOCK = 512
 _MODE_TERMINAL = -1
 _MODE_ZENO = -2
 _MODE_UNSET = -3
+_SNAP_REL = 1e-9
 DEFAULT_ZENO_RATE = 10_000  # jump budget per unit of time horizon
 
 
@@ -461,13 +462,26 @@ class _BatchRecorder:
             )
 
 
-def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]) -> np.ndarray:
-    grid = np.arange(0.0, horizon, dt)
-    pts = np.concatenate([grid, np.asarray(output_times, dtype=float), [horizon]])
-    pts = np.unique(pts)
-    if pts[0] < 0.0 or pts[-1] > horizon + 1e-12:
+def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]):
+    """Sorted checkpoints: the step grid k*dt, the output times and the horizon.
+
+    An output time within _SNAP_REL * dt of a grid point or of the horizon is
+    snapped onto it, and a grid point that close to the horizon is dropped,
+    so no two checkpoints are a rounding-sized step apart.  Returns the
+    checkpoints and the checkpoint index of each output time.
+    """
+    times = np.asarray(output_times, dtype=float)
+    if times.size and (times.min() < 0.0 or times.max() > horizon + 1e-12):
         raise SimulationError("output times must lie inside [0, horizon]")
-    return pts
+    snap = _SNAP_REL * dt
+    grid = np.arange(0.0, horizon, dt)
+    grid = grid[grid < horizon - snap]
+    if grid.size:
+        nearest = grid[np.minimum(np.rint(times / dt).astype(np.int64), grid.size - 1)]
+        times = np.where(np.abs(times - nearest) <= snap, nearest, times)
+    times = np.where(np.abs(times - horizon) <= snap, horizon, times)
+    points = np.unique(np.concatenate([grid, times, [horizon]]))
+    return points, np.searchsorted(points, times)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +833,7 @@ def simulate_path(
     if zeno_cap < 1:
         raise SimulationError("zeno_cap must be >= 1")
 
-    checkpoints = _checkpoints(horizon, dt, [])
+    checkpoints, _ = _checkpoints(horizon, dt, [])
     out_of_cp = np.full(len(checkpoints), -1, dtype=np.int64)
 
     if initial.terminal is not None:
@@ -889,10 +903,9 @@ def ensemble(
     if out_times.size == 0:
         raise SimulationError("at least one output time is required")
 
-    checkpoints = _checkpoints(horizon, dt, out_times)
+    checkpoints, out_idx = _checkpoints(horizon, dt, out_times)
     out_of_cp = np.full(len(checkpoints), -1, dtype=np.int64)
-    for k, ot in enumerate(out_times):
-        idx = int(np.searchsorted(checkpoints, ot))
+    for k, idx in enumerate(out_idx):
         out_of_cp[idx] = k
     n_out = out_times.size
 

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resetsde.fpk import (
     CharacteristicFacePresent,
@@ -10,6 +14,8 @@ from resetsde.fpk import (
     NegativeOutflux,
     StabilityViolation,
     UnsupportedDimension,
+    _matvec,
+    _reference_step,
     adjoint_apply,
     apply_absorbing_bc,
     build_grid,
@@ -40,6 +46,7 @@ from resetsde.model import (
     interval_domain,
     zero_field,
 )
+from resetsde.scenarios import gamblers_ruin_model
 
 THERMO_SPANS = ((19.0, 22.28), (17.72, 21.0))
 
@@ -532,3 +539,244 @@ class Test2DTransfer:
         assert abs(total_mass(grid, state) - 1.0) < 1e-10
         # mass actually crossed into the second mode
         assert float(np.sum(state.p[1])) * grid.mode_grids[1].cell_volume > 1e-3
+
+
+def recurrent_two_mode_2d():
+    """Two unit squares with no terminal: every face resets by a translation.
+
+    The x faces of both modes land on the line x = 0.5 of mode 1 and the y
+    faces on the line y = 0.5 of mode 0.  The drifts are tangential to those
+    lines, so each source injects on the side its outward normal points to,
+    and the four half-boxes feed one another.
+    """
+    mode_a = Mode(
+        box_domain([0.0, 0.0], [1.0, 1.0]),
+        VectorFieldSet(
+            constant_field([0.3, 0.0]), (constant_field([0.5, 0.0]), constant_field([0.0, 0.4]))
+        ),
+    )
+    mode_b = Mode(
+        box_domain([0.0, 0.0], [1.0, 1.0]),
+        VectorFieldSet(
+            constant_field([0.0, -0.2]), (constant_field([0.4, 0.0]), constant_field([0.0, 0.6]))
+        ),
+    )
+    to_x = {0: (1, [0.5, 0.0]), 1: (1, [-0.5, 0.0])}
+    to_y = {2: (0, [0.0, 0.5]), 3: (0, [0.0, -0.5])}
+    edges = [
+        ResetEdge(q, face, SurfaceTarget(tgt, AffineMap(np.eye(2), shift)))
+        for q in (0, 1)
+        for face, (tgt, shift) in {**to_x, **to_y}.items()
+    ]
+    return build_model(ModelSpec(2, [mode_a, mode_b], edges, terminal_states=[]))
+
+
+OPERATOR_CASES = {
+    "thermostat_1d": lambda: (thermostat_1d(), thermostat_resolution(0.04)),
+    "gamblers_ruin": lambda: (gamblers_ruin_model(), 40),
+    "two_box_2d": lambda: (Test2DTransfer().build_two_box_model(), [(8, 8), (16, 8)]),
+    "recurrent_2d": lambda: (recurrent_two_mode_2d(), 8),
+}
+
+
+def sheared_box_2d():
+    """One box with cross-diffusion, so the tangential stencil terms are nonzero.
+
+    The x = 1 face resets onto the line x = 0.5, where the drift's x
+    component changes sign along the line, so both injection sides occur.
+    """
+    mode = Mode(
+        box_domain([0.0, 0.0], [1.0, 2.0]),
+        VectorFieldSet(
+            AffineField([[-0.5, 0.1], [0.0, -0.3]], [0.2, 0.3]),
+            (AffineField([[0.1, 0.0], [0.05, 0.0]], [0.5, 0.2]), constant_field([0.1, 0.4])),
+        ),
+    )
+    edges = [ResetEdge(0, 1, SurfaceTarget(0, AffineMap(np.eye(2), [-0.5, 0.0])))]
+    edges += [ResetEdge(0, f, TerminalTarget("out")) for f in (0, 2, 3)]
+    return build_model(ModelSpec(2, [mode], edges, terminal_states=["out"]))
+
+
+def dense_operator(grid):
+    """[L_h; T] as a dense array: cell rates, then terminal rates."""
+    op = grid.forward_operator()
+    n, n_term = op.n_cells, len(grid.model.terminal_states)
+    dense = np.zeros((n + n_term, n))
+    rows, cols, vals = op.rate
+    np.add.at(dense, (rows, cols), vals)
+    rows, cols, vals = op.terminal
+    np.add.at(dense, (n + rows, cols), vals)
+    return dense
+
+
+def reference_response(model, grid, flat):
+    """[cell rates; terminal rates] of a flat density through the face currents."""
+    op = grid.forward_operator()
+    density = DensityState(op.split(flat), {}, 0.0)
+    current = probability_current(model, grid, density)
+    rates = divergence_rates(grid, current)
+    sources, terminal_rates, _ = transfer_flux(model, grid, current)
+    cells = [
+        (rates[m] + sources[m] / mg.cell_volume).reshape(-1)
+        for m, mg in enumerate(grid.mode_grids)
+    ]
+    terms = [terminal_rates[name] for name in model.terminal_states]
+    return np.concatenate(cells + [np.asarray(terms, dtype=float)])
+
+
+class TestForwardOperator:
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+    def test_columns_match_the_face_current_path(self, case):
+        model, resolution = OPERATOR_CASES[case]()
+        grid = build_grid(model, resolution)
+        dense = dense_operator(grid)
+        n = grid.forward_operator().n_cells
+        for c in range(n):
+            unit = np.zeros(n)
+            unit[c] = 1.0
+            expected = reference_response(model, grid, unit)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(dense[:, c] - expected)) <= 1e-12 * scale, c
+
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+    def test_column_sums_cancel(self, case):
+        model, resolution = OPERATOR_CASES[case]()
+        grid = build_grid(model, resolution)
+        dense = dense_operator(grid)
+        n = grid.forward_operator().n_cells
+        vol = np.concatenate(
+            [np.full(int(np.prod(mg.shape)), mg.cell_volume) for mg in grid.mode_grids]
+        )
+        weighted = dense * np.concatenate([vol, np.ones(dense.shape[0] - n)])[:, None]
+        sums = np.sum(weighted, axis=0)
+        assert np.max(np.abs(sums)) <= 1e-13 * np.max(np.abs(weighted))
+
+    def test_cross_diffusion_2d_matches_the_face_current_path(self):
+        # a unit vector can drive a cross-diffusive boundary outflux negative,
+        # where the reference clamps; compare on a smooth density bounded away
+        # from zero, whose raw outflux is positive on every boundary face
+        model = sheared_box_2d()
+        grid = build_grid(model, [(16, 24)])
+        op = grid.forward_operator()
+        tab = grid.surface_tables[0]
+        assert len(set(tab.inject_k_index.tolist())) == 2
+        pts = grid.mode_grids[0].cell_center_points()
+        x, y = pts[..., 0], pts[..., 1]
+        flat = (1.0 + 0.5 * x * y + 0.3 * np.sin(3.0 * y)).reshape(-1)
+        assert np.min(_matvec(op.outflux, flat, 0)) >= 0.0
+        expected = reference_response(model, grid, flat)
+        got = np.concatenate([_matvec(op.rate, flat, op.n_cells), _matvec(op.terminal, flat, 1)])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_build_grid_assembles_nothing(self):
+        grid = build_grid(thermostat_1d(), thermostat_resolution(0.04))
+        assert "operator" not in grid._caches
+        op = grid.forward_operator()
+        assert grid.forward_operator() is op
+
+    def test_evolve_and_import_do_not_load_scipy(self):
+        code = (
+            "import sys, resetsde\n"
+            "from resetsde.fpk import build_grid, evolve, project_density, stable_dt\n"
+            "from resetsde.scenarios import gamblers_ruin_model\n"
+            "model = gamblers_ruin_model()\n"
+            "grid = build_grid(model, 20)\n"
+            "state = project_density(grid, [lambda x: 1.0 + 0.0 * x[..., 0]])\n"
+            "evolve(model, grid, state, stable_dt(grid, 0.9), 5)\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy loaded'\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_negative_outflux_step_takes_the_clamping_path(self):
+        # a small negative edge cell drives the raw boundary outflux below
+        # zero; that step must equal the clamped face-current step bit for bit
+        model = brownian_interval(0.0, 1.0)
+        grid = build_grid(model, 20)
+        arr = np.full(20, 0.5)
+        arr[0] = -1e-9
+        density = DensityState([arr], {"hit": 0.0, "escaped": 0.0}, 0.0)
+        dt = stable_dt(grid, 0.9)
+        out = evolve(model, grid, density, dt, 1)
+        expected = density.copy()
+        _reference_step(model, grid, expected, dt)
+        assert np.array_equal(out.p[0], expected.p[0])
+        assert out.q == expected.q
+
+    def test_negative_outflux_beyond_tolerance_refused_by_evolve(self):
+        model = brownian_interval(0.0, 1.0)
+        grid = build_grid(model, 20)
+        arr = np.full(20, 0.1)
+        arr[0] = -0.5
+        density = DensityState([arr], {"hit": 0.0, "escaped": 0.0}, 0.0)
+        with pytest.raises(NegativeOutflux):
+            evolve(model, grid, density, stable_dt(grid, 0.9), 1)
+
+
+@st.composite
+def constant_coefficient_boxes(draw):
+    """A 1D box with constant drift and diffusion; each end absorbs or resets.
+
+    The face Peclet number |b| dx / (sigma^2 / 2) stays at most 1.
+    """
+    n = draw(st.integers(16, 40))
+    length = draw(st.floats(0.5, 2.0))
+    sigma = draw(st.floats(0.5, 1.5))
+    drift = draw(st.floats(-1.0, 1.0))
+    mode = Mode(
+        interval_domain(0.0, length),
+        VectorFieldSet(constant_field([drift]), (constant_field([sigma]),)),
+    )
+    edges = []
+    for face in (0, 1):
+        if draw(st.booleans()):
+            k = draw(st.integers(2, n - 2))
+            shift = k * length / n - (0.0 if face == 0 else length)
+            edges.append(ResetEdge(0, face, SurfaceTarget(0, AffineMap([[1.0]], [shift]))))
+        else:
+            edges.append(ResetEdge(0, face, TerminalTarget("out")))
+    model = build_model(ModelSpec(1, [mode], edges, terminal_states=["out"]))
+    center = draw(st.floats(0.3, 0.7)) * length
+    return model, n, center
+
+
+class TestEvolveProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(constant_coefficient_boxes(), st.floats(0.2, 1.0))
+    def test_matvec_matches_the_reference_loop_and_conserves_mass(self, case, fraction):
+        model, n, center = case
+        grid = build_grid(model, n)
+        width = grid.mode_grids[0].hi[0] / 8.0
+        density = project_density(
+            grid, [lambda x: np.exp(-0.5 * ((x[..., 0] - center) / width) ** 2)]
+        )
+        dt = stable_dt(grid, fraction)
+        state = density
+        reference = density.copy()
+        for _ in range(30):
+            state = evolve(model, grid, state, dt, 1)
+            _reference_step(model, grid, reference, dt)
+            assert abs(total_mass(grid, state) - 1.0) <= 1e-12
+            scale = float(np.max(np.abs(reference.p[0])))
+            assert np.max(np.abs(state.p[0] - reference.p[0])) <= 1e-12 * scale
+            assert state.q["out"] == pytest.approx(reference.q["out"], abs=1e-12)
+        batched = evolve(model, grid, density, dt, 30)
+        assert np.array_equal(batched.p[0], state.p[0])
+
+
+class TestSparseStationary:
+    def test_recurrent_2d_box_at_128_squared_cells_per_mode(self):
+        model = recurrent_two_mode_2d()
+        grid = build_grid(model, 128)
+        state = stationary_density(model, grid)
+        op = grid.forward_operator()
+        assert op.n_cells == 2 * 128**2
+        assert total_mass(grid, state) == pytest.approx(1.0, abs=1e-12)
+        flat = np.concatenate([p.reshape(-1) for p in state.p])
+        assert float(np.min(flat)) >= 0.0
+        residual = np.max(np.abs(_matvec(op.rate, flat, op.n_cells)))
+        assert residual <= 1e-12 * np.max(np.abs(op.rate[2])) * np.max(flat)
+        # every half-box is reset-fed, so the profile spreads over both modes
+        for p in state.p:
+            assert float(np.sum(p)) * grid.mode_grids[0].cell_volume > 0.05

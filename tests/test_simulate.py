@@ -27,6 +27,8 @@ from resetsde.scenarios import (
 )
 from resetsde.simulate import (
     CharacteristicFaceHit,
+    SimulationError,
+    _checkpoints,
     GaussianInitial,
     PathState,
     PointMass,
@@ -280,6 +282,40 @@ class TestSimulatePath:
     def test_default_zeno_cap_scales_with_horizon(self):
         assert default_zeno_cap(1.0) == 10_000
         assert default_zeno_cap(2.5) == 25_000
+
+
+class TestCheckpoints:
+    def test_output_time_within_rounding_of_the_grid_adds_no_step(self):
+        points, idx = _checkpoints(1.0, 0.1, [0.3])
+        assert points.size == 11
+        assert np.min(np.diff(points)) > 0.5 * 0.1
+        assert points[idx[0]] == pytest.approx(0.3, abs=1e-15)
+
+    def test_off_grid_output_time_is_its_own_checkpoint(self):
+        points, idx = _checkpoints(1.0, 0.1, [0.35])
+        assert points.size == 12
+        assert points[idx[0]] == 0.35
+
+    def test_grid_point_at_the_horizon_up_to_rounding_is_the_horizon(self):
+        # 11 * 0.1 rounds above 1.1, so the step grid overshoots the horizon
+        points, idx = _checkpoints(1.1, 0.1, [1.1])
+        assert points[-1] == 1.1
+        assert np.min(np.diff(points)) > 0.5 * 0.1
+        assert idx[0] == points.size - 1
+
+    def test_output_time_outside_the_horizon_rejected(self):
+        with pytest.raises(SimulationError):
+            _checkpoints(1.0, 0.1, [1.5])
+
+    def test_snapped_output_time_reproduces_the_grid_time_run(self):
+        model = brownian_reset_model()
+        kwargs = dict(
+            initial_law=GaussianInitial(0, [1.0], 0.02), n_paths=200, horizon=1.0, dt=0.1,
+            base_seed=9,
+        )
+        exact = ensemble(model, output_times=[0.3], **kwargs)
+        grid = ensemble(model, output_times=[3 * 0.1], **kwargs)
+        assert np.array_equal(exact.mode_clouds[0][0], grid.mode_clouds[0][0])
 
 
 class TestEnsemble:
