@@ -28,6 +28,7 @@ from resetsde.model import (
     SurfaceTarget,
     TerminalTarget,
     VectorFieldSet,
+    box_domain,
     build_model,
 )
 from resetsde.scenarios import SCENARIOS, load_scenario
@@ -152,6 +153,8 @@ def load_config(path) -> RunConfig:
     output_times = [float(v) for v in raw.get("output_times", [horizon])]
     if not output_times or any(t < 0 or t > horizon for t in output_times):
         raise SchemaError("output_times must be a nonempty subset of [0, horizon]")
+    if len(set(output_times)) < len(output_times):
+        raise SchemaError("output_times must not repeat a time")
 
     ensemble_size = int(raw.get("ensemble_size", 10_000))
     if method in ("mc", "both") and ensemble_size < 1:
@@ -210,11 +213,7 @@ def _parse_inline_model(doc: dict):
     for i, mspec in enumerate(doc.get("modes", [])):
         if "box" in mspec:
             lo, hi = mspec["box"]
-            domain = PolyDomain(
-                *_box_faces(np.asarray(lo, float), np.asarray(hi, float)),
-                interior_point=0.5 * (np.asarray(lo, float) + np.asarray(hi, float)),
-                box=(np.asarray(lo, float), np.asarray(hi, float)),
-            )
+            domain = box_domain(lo, hi)
         else:
             hs = mspec.get("halfspaces")
             if hs is None:
@@ -252,19 +251,6 @@ def _parse_inline_model(doc: dict):
         characteristic_faces=[tuple(fc) for fc in doc.get("characteristic_faces", [])],
     )
     return build_model(spec)
-
-
-def _box_faces(lo, hi):
-    d = lo.size
-    normals, offsets = [], []
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = 1.0
-        normals.append((-e).tolist())
-        offsets.append(-float(lo[axis]))
-        normals.append(e.tolist())
-        offsets.append(float(hi[axis]))
-    return normals, offsets
 
 
 class _ProductGaussianCells:
@@ -327,13 +313,11 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 def _density_payload(grid, states):
     return {
         "times": [s.t for s in states],
-        "modes": [
-            {
-                "cells": [list(mg.shape) for mg in grid.mode_grids],
-                "lo": [mg.lo.tolist() for mg in grid.mode_grids],
-                "hi": [mg.hi.tolist() for mg in grid.mode_grids],
-            }
-        ][0],
+        "modes": {
+            "cells": [list(mg.shape) for mg in grid.mode_grids],
+            "lo": [mg.lo.tolist() for mg in grid.mode_grids],
+            "hi": [mg.hi.tolist() for mg in grid.mode_grids],
+        },
         "density": [[arr.reshape(-1).tolist() for arr in s.p] for s in states],
         "terminal_mass": [dict(sorted(s.q.items())) for s in states],
     }

@@ -13,6 +13,10 @@ of batch size or worker count.  The hot loop keeps only live paths in its
 state arrays and advances all of them in lockstep: one proposal per
 iteration, landing exactly on the next time-grid point unless a boundary
 crossing truncates it.
+
+The step, crossing test, face projection and reset map each have one
+batched implementation, used by the engine; the single-state `step`,
+`detect_hit` and `apply_reset` call them on a batch of one.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ import numpy as np
 from resetsde.model import (
     AffineField,
     HybridModel,
-    SurfaceTarget,
     TerminalTarget,
     UnassignedFace,
+    ito_coefficients,
 )
 
 _NOISE_BLOCK = 512
@@ -160,72 +164,28 @@ class GaussianInitial:
 
 
 # ---------------------------------------------------------------------------
-# single-state operations
+# path operations: each works on a batch of rows; the single-state API below
+# calls it on a batch of one
 
 
-def _ito_drift(model: HybridModel, mode: int, points: np.ndarray) -> np.ndarray:
-    fields = model.modes[mode].fields
-    b = fields.drift(points).copy()
-    for a_field in fields.diffusion:
-        val = a_field(points)
-        jac = a_field.jacobian(points)
-        b += 0.5 * np.einsum("...ij,...j->...i", jac, val)
-    return b
+def _first_crossing(gs, ge):
+    """Earliest face crossing of straight segments, one segment per row.
 
-
-def step(model: HybridModel, state: PathState, dt: float, noise) -> PathState:
-    """One Euler-Maruyama update from N(0, dt) increments.
-
-    The result may leave the mode's domain; hit detection is separate.
+    gs and ge are the (rows, faces) gaps at the segment ends; a face is
+    crossed where its end gap is >= 0.  Returns each row's segment fraction
+    (inf when no face is crossed) and face.
     """
-    if state.mode is None:
-        raise SimulationError("step requires an in-mode state")
-    if dt <= 0.0:
-        raise SimulationError("dt must be positive")
-    increments = np.asarray(noise, dtype=float).reshape(-1)
-    pos = state.position[None, :]
-    new = pos + _ito_drift(model, state.mode, pos) * dt
-    for r, a_field in enumerate(model.modes[state.mode].fields.diffusion):
-        new = new + a_field(pos) * increments[r]
-    return PathState(state.mode, None, new[0], state.time + dt)
-
-
-def detect_hit(domain, start, end):
-    """First face crossing of the straight segment start -> end, if any.
-
-    Returns (fraction, face, point) with the point projected exactly onto the
-    face hyperplane, or None when the segment stays inside.
-    """
-    start = np.asarray(start, dtype=float).reshape(-1)
-    end = np.asarray(end, dtype=float).reshape(-1)
-    gs = domain.gaps(start)
-    if np.any(gs >= 0.0):
-        raise StartOnBoundary("segment start is not strictly inside the domain")
-    ge = domain.gaps(end)
     crossing = ge >= 0.0
-    if not np.any(crossing):
-        return None
-    fractions = np.full(gs.shape, np.inf)
-    fractions[crossing] = gs[crossing] / (gs[crossing] - ge[crossing])
-    face = int(np.argmin(fractions))
-    s = float(fractions[face])
-    point = start + s * (end - start)
-    point = point - (float(point @ domain.normals[face]) - domain.offsets[face]) * domain.normals[face]
-    return s, face, point
+    denom = np.where(crossing, gs - ge, 1.0)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    frac = np.where(crossing, np.where(gs < 0.0, gs / denom, 0.0), np.inf)
+    return np.min(frac, axis=1), np.argmin(frac, axis=1)
 
 
-def _resolve_edge(model: HybridModel, mode: int, face: int, point: np.ndarray):
-    if model.is_characteristic(mode, face):
-        raise CharacteristicFaceHit(
-            f"path reached declared-characteristic face ({mode}, {face})"
-        )
-    edges = model.edges_for_face(mode, face)
-    for edge in edges:
-        if bool(edge.in_patch(point)[0]):
-            return edge
-    raise UnassignedFace(
-        f"hit on face ({mode}, {face}) lands outside every source patch"
-    )
+def _onto_face(domain, face: int, pts: np.ndarray) -> np.ndarray:
+    """Project points exactly onto one face hyperplane."""
+    nrm = domain.normals[face]
+    return pts - (pts @ nrm - domain.offsets[face])[:, None] * nrm
 
 
 def _nudge_interior(domain, points: np.ndarray) -> np.ndarray:
@@ -242,17 +202,93 @@ def _nudge_interior(domain, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reset(model: HybridModel, q: int, f: int, pts: np.ndarray):
+    """Map hits on face f of mode q through their reset edges.
+
+    Returns per-point (modes, positions, terminal_idx): a surface reset gives
+    the target mode, the image point and -1; a terminal exit gives
+    _MODE_TERMINAL, NaN and the terminal's index.
+    """
+    if model.is_characteristic(q, f):
+        raise CharacteristicFaceHit(f"path reached declared-characteristic face ({q}, {f})")
+    modes = np.full(pts.shape[0], _MODE_UNSET, dtype=np.int64)
+    positions = np.full(pts.shape, np.nan)
+    terms = np.full(pts.shape[0], -1, dtype=np.int64)
+    for edge in model.edges_for_face(q, f):
+        sel = edge.in_patch(pts) & (modes == _MODE_UNSET)
+        if not np.any(sel):
+            continue
+        target = edge.target
+        if isinstance(target, TerminalTarget):
+            modes[sel] = _MODE_TERMINAL
+            terms[sel] = model.terminal_states.index(target.terminal)
+        else:
+            modes[sel] = target.mode
+            positions[sel] = _nudge_interior(model.modes[target.mode].domain, target.map(pts[sel]))
+    if np.any(modes == _MODE_UNSET):
+        raise UnassignedFace(f"hit on face ({q}, {f}) lands outside every source patch")
+    return modes, positions, terms
+
+
+def _by_mode(fn, modes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """fn(q, points of mode q) for each mode present, in row order; 0 elsewhere."""
+    out = np.zeros(modes.shape[0])
+    for q in np.unique(modes[modes >= 0]):
+        sel = modes == q
+        out[sel] = fn(int(q), points[sel])
+    return out
+
+
+def _state(model: HybridModel, mode: int, position, term: int, time: float) -> PathState:
+    if mode == _MODE_TERMINAL:
+        return PathState.at_terminal(model.terminal_states[term], time)
+    return PathState.in_mode(int(mode), position, time)
+
+
+def step(model: HybridModel, state: PathState, dt: float, noise) -> PathState:
+    """One Euler-Maruyama update from N(0, dt) increments.
+
+    The result may leave the mode's domain; hit detection is separate.
+    """
+    if state.mode is None:
+        raise SimulationError("step requires an in-mode state")
+    if dt <= 0.0:
+        raise SimulationError("dt must be positive")
+    increments = np.asarray(noise, dtype=float).reshape(-1)
+    xi = np.zeros((1, max(model.dimension, increments.size)))
+    xi[0, : increments.size] = increments
+    modes = np.array([state.mode])
+    kernel = _make_kernel(model)
+    kernel.attach(modes)
+    # the increments already carry the sqrt(dt) scale
+    new = kernel.propose(modes, state.position[None, :], np.array([dt]), np.ones(1), xi)
+    return PathState(state.mode, None, new[0], state.time + dt)
+
+
+def detect_hit(domain, start, end):
+    """First face crossing of the straight segment start -> end, if any.
+
+    Returns (fraction, face, point) with the point projected exactly onto the
+    face hyperplane, or None when the segment stays inside.
+    """
+    start = np.asarray(start, dtype=float).reshape(1, -1)
+    end = np.asarray(end, dtype=float).reshape(1, -1)
+    gs = domain.gaps(start)
+    if np.any(gs >= 0.0):
+        raise StartOnBoundary("segment start is not strictly inside the domain")
+    s, face = _first_crossing(gs, domain.gaps(end))
+    if np.isinf(s[0]):
+        return None
+    point = _onto_face(domain, int(face[0]), start + s[0] * (end - start))
+    return float(s[0]), int(face[0]), point[0]
+
+
 def apply_reset(model: HybridModel, hit: tuple[int, int, np.ndarray], time: float = 0.0) -> PathState:
     """Map a boundary hit through its reset edge."""
     mode, face, point = hit
-    point = np.asarray(point, dtype=float).reshape(-1)
-    edge = _resolve_edge(model, mode, face, point)
-    if isinstance(edge.target, TerminalTarget):
-        return PathState.at_terminal(edge.target.terminal, time)
-    target = edge.target
-    image = target.map(point[None, :])
-    image = _nudge_interior(model.modes[target.mode].domain, image)
-    return PathState.in_mode(target.mode, image[0], time)
+    point = np.asarray(point, dtype=float).reshape(1, -1)
+    modes, positions, terms = _reset(model, mode, face, point)
+    return _state(model, modes[0], positions[0], terms[0], time)
 
 
 def default_zeno_cap(horizon: float) -> int:
@@ -374,7 +410,7 @@ class _GeneralKernel:
             if not np.any(sel):
                 continue
             pts = theta[sel]
-            move = _ito_drift(self.model, q, pts) * delta[sel, None]
+            move = ito_coefficients(self.model, q, pts)[0] * delta[sel, None]
             for r, a_field in enumerate(self.model.modes[q].fields.diffusion):
                 move = move + a_field(pts) * (xi[sel, r] * sqrt_delta[sel])[:, None]
             out[sel] = pts + move
@@ -424,14 +460,10 @@ class _BatchRecorder:
     def phi_value(self, k, modes, positions, terminals):
         """phi evaluated on a mixed batch of in-mode and terminal states."""
         phi = self.phis[k]
-        vals = np.zeros(modes.shape[0])
-        for q in np.unique(modes[modes >= 0]):
-            sel = modes == q
-            vals[sel] = phi.evaluate(int(q), positions[sel])
+        vals = _by_mode(phi.evaluate, modes, positions)
+        names = self.model.terminal_states
         term_sel = modes == _MODE_TERMINAL
-        if np.any(term_sel):
-            names = self.model.terminal_states
-            vals[term_sel] = [phi.terminal_value(names[t]) for t in terminals[term_sel]]
+        vals[term_sel] = [phi.terminal_value(names[t]) for t in terminals[term_sel]]
         return vals
 
     def record_slot(self, orig_idx, modes, positions, terminals, intL_vals, jsum_vals):
@@ -510,8 +542,6 @@ def _run_batch(
     ]
     kernel = _make_kernel(model)
     n_phi = len(test_functions)
-    term_names = model.terminal_states
-    terminal_name_to_idx = {name: i for i, name in enumerate(term_names)}
 
     # live-path state; rows are compacted away as paths die
     orig = np.arange(batch, dtype=np.int64)
@@ -585,59 +615,31 @@ def _run_batch(
         # crossing fractions only for the paths that actually left the domain
         ge = kernel.gaps(mode, theta_new)
         crossed = np.flatnonzero(np.any(ge >= 0.0, axis=1))
+        if crossed.size:
+            gs = kernel.gaps_rows(crossed, mode, start_pos[crossed])
+            s, faces = _first_crossing(gs, ge[crossed])
+            hit_pts = start_pos[crossed] + s[:, None] * (theta_new[crossed] - start_pos[crossed])
+
         if n_phi:
-            seg_L_start = np.zeros((n_phi, orig.size))
-            for q in np.unique(mode):
-                sel = mode == q
-                for k, phi in enumerate(test_functions):
-                    seg_L_start[k, sel] = phi.generator(int(q), start_pos[sel])
+            # trapezoid rule for the integral of L phi over the step,
+            # truncated at the hit point on crossing paths
+            seg_end, seg_len = theta_new.copy(), delta.copy()
+            if crossed.size:
+                seg_end[crossed] = hit_pts
+                seg_len[crossed] = s * delta[crossed]
+            for k, phi in enumerate(test_functions):
+                seg_L = _by_mode(phi.generator, mode, start_pos) + _by_mode(phi.generator, mode, seg_end)
+                intL[k] += 0.5 * seg_L * seg_len
 
         # commit the common case: land exactly on the next checkpoint
         pos = theta_new
         t = cps
         next_cp += 1
 
-        if n_phi:
-            # trapezoid accumulation over the full step for non-crossing
-            # paths; crossing paths get their truncated segment below
-            nc_mask = np.ones(orig.size, dtype=bool)
-            nc_mask[crossed] = False
-            nc = np.flatnonzero(nc_mask)
-            if nc.size:
-                seg_L_end = np.zeros((n_phi, nc.size))
-                nc_modes = mode[nc]
-                for q in np.unique(nc_modes):
-                    sel = nc_modes == q
-                    for k, phi in enumerate(test_functions):
-                        seg_L_end[k, sel] = phi.generator(int(q), theta_new[nc][sel])
-                for k in range(n_phi):
-                    intL[k, nc] += 0.5 * (seg_L_start[k, nc] + seg_L_end[k]) * delta[nc]
-
         dead_rows: list = []
         resync = np.empty(0, dtype=np.int64)
         if crossed.size:
-            gs = kernel.gaps_rows(crossed, mode, start_pos[crossed])
-            gec = ge[crossed]
-            crossing = gec >= 0.0
-            denom = np.where(crossing, gs - gec, 1.0)
-            denom = np.where(denom == 0.0, 1.0, denom)
-            frac = np.where(crossing, np.where(gs < 0.0, gs / denom, 0.0), np.inf)
-            s = np.min(frac, axis=1)
-            faces = np.argmin(frac, axis=1)
-
             tau = (t[crossed] - delta[crossed]) + s * delta[crossed]
-            hit_pts = start_pos[crossed] + s[:, None] * (theta_new[crossed] - start_pos[crossed])
-            if n_phi:
-                seg_end_hit = np.zeros((n_phi, crossed.size))
-                for q in np.unique(mode[crossed]):
-                    sel = mode[crossed] == q
-                    for k, phi in enumerate(test_functions):
-                        seg_end_hit[k, sel] = phi.generator(int(q), hit_pts[sel])
-                for k in range(n_phi):
-                    # crossing paths accumulate only the truncated segment
-                    intL[k, crossed] += (
-                        0.5 * (seg_L_start[k, crossed] + seg_end_hit[k]) * (s * delta[crossed])
-                    )
             t[crossed] = tau
             next_cp[crossed] -= 1
             jumps[crossed] += 1
@@ -645,21 +647,26 @@ def _run_batch(
             pre_modes = mode[crossed].copy()
             for q in np.unique(pre_modes):
                 q = int(q)
-                domain = model.modes[q].domain
                 q_sel = np.flatnonzero(pre_modes == q)
                 for f in np.unique(faces[q_sel]):
                     f = int(f)
                     f_sel = q_sel[faces[q_sel] == f]
-                    pts = hit_pts[f_sel]
-                    nrm = domain.normals[f]
-                    pts = pts - (pts @ nrm - domain.offsets[f])[:, None] * nrm
-                    hit_pts[f_sel] = pts
-                    _apply_reset_rows(
-                        model, kernel, q, f, pts, crossed[f_sel], tau[f_sel],
-                        mode, pos, term, orig, terminal_name_to_idx,
-                        test_functions, jsum,
-                        traj_jumps if record_trajectory else None,
-                    )
+                    rows = crossed[f_sel]
+                    pts = _onto_face(model.modes[q].domain, f, hit_pts[f_sel])
+                    post_mode, post_pos, post_term = _reset(model, q, f, pts)
+                    mode[rows] = post_mode
+                    pos[rows] = post_pos
+                    term[rows] = post_term
+                    live = post_mode >= 0
+                    kernel.update_rows(rows[live], post_mode[live])
+                    for k, phi in enumerate(test_functions):
+                        jsum[k, rows] += (
+                            rec.phi_value(k, post_mode, post_pos, post_term) - phi.evaluate(q, pts)
+                        )
+                    if record_trajectory:
+                        for j, tau_j in enumerate(tau[f_sel].tolist()):
+                            post = _state(model, post_mode[j], post_pos[j], post_term[j], tau_j)
+                            traj_jumps.append(JumpEvent(tau_j, q, f, pts[j].copy(), post))
 
             # zeno guard: flag paths that exhausted their jump budget
             over = crossed[(jumps[crossed] >= zeno_cap) & (mode[crossed] >= 0)]
@@ -741,71 +748,6 @@ def _run_batch(
         "final_term": res_term,
         "final_t": res_t,
     }
-
-
-def _apply_reset_rows(
-    model, kernel, q, f, pts, rows, taus, mode, pos, term, orig,
-    term_name_to_idx, test_functions, jsum, traj_jumps,
-):
-    """Reset a group of hits on one face; mutates the live-state arrays."""
-    edges = model.edges_for_face(q, f)
-    if model.is_characteristic(q, f):
-        raise CharacteristicFaceHit(
-            f"path reached declared-characteristic face ({q}, {f})"
-        )
-    if not edges:
-        raise UnassignedFace(f"no reset edge covers face ({q}, {f})")
-
-    pre_phi = None
-    if test_functions:
-        pre_phi = np.array([phi.evaluate(q, pts) for phi in test_functions])
-
-    assigned = np.zeros(rows.size, dtype=bool)
-    for edge in edges:
-        in_patch = edge.in_patch(pts) & ~assigned
-        if not np.any(in_patch):
-            continue
-        assigned |= in_patch
-        sel_rows = rows[in_patch]
-        sel_pts = pts[in_patch]
-        if isinstance(edge.target, TerminalTarget):
-            t_idx = term_name_to_idx[edge.target.terminal]
-            mode[sel_rows] = _MODE_TERMINAL
-            term[sel_rows] = t_idx
-            pos[sel_rows] = np.nan
-            if test_functions:
-                for k, phi in enumerate(test_functions):
-                    jsum[k, sel_rows] += phi.terminal_value(edge.target.terminal) - pre_phi[k][in_patch]
-            if traj_jumps is not None:
-                for j in range(sel_rows.size):
-                    traj_jumps.append(
-                        JumpEvent(
-                            float(taus[in_patch][j]), q, f, sel_pts[j].copy(),
-                            PathState.at_terminal(edge.target.terminal, float(taus[in_patch][j])),
-                        )
-                    )
-        else:
-            target = edge.target
-            image = target.map(sel_pts)
-            image = _nudge_interior(model.modes[target.mode].domain, image)
-            mode[sel_rows] = target.mode
-            pos[sel_rows] = image
-            kernel.update_rows(sel_rows, mode[sel_rows])
-            if test_functions:
-                for k, phi in enumerate(test_functions):
-                    jsum[k, sel_rows] += phi.evaluate(target.mode, image) - pre_phi[k][in_patch]
-            if traj_jumps is not None:
-                for j in range(sel_rows.size):
-                    traj_jumps.append(
-                        JumpEvent(
-                            float(taus[in_patch][j]), q, f, sel_pts[j].copy(),
-                            PathState.in_mode(target.mode, image[j], float(taus[in_patch][j])),
-                        )
-                    )
-    if not np.all(assigned):
-        raise UnassignedFace(
-            f"hit on face ({q}, {f}) lands outside every source patch"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -904,6 +846,8 @@ def ensemble(
         raise SimulationError("at least one output time is required")
 
     checkpoints, out_idx = _checkpoints(horizon, dt, out_times)
+    if np.unique(out_idx).size < out_idx.size:
+        raise SimulationError("output times must be distinct")
     out_of_cp = np.full(len(checkpoints), -1, dtype=np.int64)
     for k, idx in enumerate(out_idx):
         out_of_cp[idx] = k

@@ -51,6 +51,13 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match="nope"):
             load_config(path)
 
+    def test_repeated_output_time_rejected(self, tmp_path):
+        path = write_config(
+            tmp_path, {"scenario": "brownian_reset", "output_times": [0.5, 0.5]}
+        )
+        with pytest.raises(SchemaError, match="output_times"):
+            load_config(path)
+
     def test_output_times_must_fit_horizon(self, tmp_path):
         path = write_config(
             tmp_path, {"scenario": "brownian_reset", "horizon": 1.0, "output_times": [2.0]}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resetsde.model import (
     AffineField,
@@ -23,6 +24,7 @@ from resetsde.scenarios import (
     analytic_first_passage,
     brownian_reset_model,
     gamblers_ruin_model,
+    thermostat_initial,
     thermostat_model,
 )
 from resetsde.simulate import (
@@ -40,6 +42,7 @@ from resetsde.simulate import (
     simulate_path,
     step,
 )
+from test_acceptance import thermostat_phi
 
 
 def ou_model(kappa=1.0, sigma=0.5, half_width=10.0):
@@ -361,6 +364,32 @@ class TestEnsemble:
             for q in range(2):
                 assert np.array_equal(base.mode_clouds[0][q], variant.mode_clouds[0][q])
 
+    def test_dynkin_records_independent_of_batch_size(self):
+        model = thermostat_model()
+        kwargs = dict(
+            initial_law=thermostat_initial(),
+            n_paths=300,
+            horizon=3.0,   # long enough for both modes to reset in one step
+            dt=1e-2,
+            output_times=[1.0, 3.0],
+            base_seed=5,
+            test_functions=[thermostat_phi(1.0, 2.0, model)],
+        )
+        base = ensemble(model, **kwargs).dynkin[0]
+        small = ensemble(model, batch_size=17, **kwargs).dynkin[0]
+        assert np.any(base.jump_sum != 0.0)
+        for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+            assert np.array_equal(getattr(base, name), getattr(small, name)), name
+
+    def test_repeated_output_time_rejected(self):
+        # one output slot per checkpoint: a repeated time would leave a slot
+        # that accounts for only part of the paths
+        with pytest.raises(SimulationError, match="distinct"):
+            ensemble(
+                brownian_reset_model(), GaussianInitial(0, [1.0], 0.02), 100, 1.0, 0.1,
+                [0.5, 0.5], base_seed=1,
+            )
+
     def test_mass_accounting(self):
         model = brownian_reset_model()
         n = 2000
@@ -398,6 +427,53 @@ class TestEnsemble:
         in_modes = sum(c.shape[0] for c in measure.mode_clouds[0])
         terminal = sum(measure.terminal_counts[0].values())
         assert in_modes + terminal + int(measure.zeno_counts[0]) == n
+
+
+# model, start-position range valid in every mode
+RESET_MODELS = {
+    "thermostat": (thermostat_model(), (19.1, 20.9)),
+    "gamblers_ruin": (gamblers_ruin_model(), (0.05, 0.95)),
+}
+
+
+def _last_row_outcome(full, before, t):
+    """(mode, position, terminal) that the last path of `full` adds at time t."""
+    k = full.time_index(t)
+    for q, cloud in enumerate(full.mode_clouds[k]):
+        if cloud.shape[0] > before.mode_clouds[k][q].shape[0]:
+            return q, cloud[-1], None
+    for name, count in full.terminal_counts[k].items():
+        if count > before.terminal_counts[k].get(name, 0):
+            return -1, None, name
+    raise AssertionError("the last path was zeno-flagged")
+
+
+class TestSinglePathMatchesEnsembleRow:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(sorted(RESET_MODELS)),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 12),
+        st.integers(0, 1),
+        st.floats(0.0, 1.0),
+    )
+    def test_final_state_equals_ensemble_row(self, name, seed, idx, start_mode, where):
+        model, (lo, hi) = RESET_MODELS[name]
+        q0 = start_mode % len(model.modes)
+        x0 = [lo + where * (hi - lo)]
+        horizon, dt = 1.0, 1e-2
+        traj = simulate_path(
+            model, PathState.in_mode(q0, x0), horizon, dt, rng_seed=seed, path_index=idx
+        )
+
+        def rows(n):
+            return ensemble(model, PointMass(q0, x0), n, horizon, dt, [horizon], base_seed=seed)
+
+        mode, position, terminal = _last_row_outcome(rows(idx + 1), rows(idx), horizon)
+        assert mode == traj.modes[-1]
+        assert terminal == traj.terminal_id
+        if mode >= 0:
+            assert position.tobytes() == traj.positions[-1].tobytes()
 
 
 class TestFirstPassageConvergence:
