@@ -160,6 +160,10 @@ def load_config(path) -> RunConfig:
     if method in ("mc", "both") and ensemble_size < 1:
         raise SchemaError("ensemble_size must be >= 1 when the method includes mc")
 
+    base_seed = int(raw.get("base_seed", 0))
+    if base_seed < 0:
+        raise SchemaError("base_seed must be >= 0")
+
     zeno_cap = raw.get("zeno_cap")
     if zeno_cap is not None:
         zeno_cap = int(zeno_cap)
@@ -188,7 +192,7 @@ def load_config(path) -> RunConfig:
         resolution=resolution,
         output_times=sorted(output_times),
         ensemble_size=ensemble_size,
-        base_seed=int(raw.get("base_seed", 0)),
+        base_seed=base_seed,
         zeno_cap=zeno_cap,
         threads=threads,
         output_dir=str(raw.get("output_dir", "out")),

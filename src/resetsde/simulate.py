@@ -7,12 +7,16 @@ a mode or is absorbed in a terminal state.  A cap on the jump count guards
 against reset accumulation; capped paths are flagged and excluded from the
 empirical measures they would otherwise enter.
 
-Every trajectory draws from its own RNG stream, seeded from
-(base_seed, trajectory_index), so ensembles reproduce bit-for-bit regardless
-of batch size or worker count.  The hot loop keeps only live paths in its
-state arrays and advances all of them in lockstep: one proposal per
-iteration, landing exactly on the next time-grid point unless a boundary
-crossing truncates it.
+Every trajectory draws from its own numpy PCG64 stream, seeded as
+`SeedSequence([base_seed, trajectory_index])`, so ensembles reproduce
+bit-for-bit regardless of batch size or worker count.  A stream's draws are
+laid out as follows: the initial law draws first, then step j uses normals
+[j*d, (j+1)*d).  Normals are drawn in chunks of 64 steps for the live paths
+only, so noise memory is O(batch * 64 * d).  The hot loop advances all live
+paths in lockstep: one proposal per iteration, landing exactly on the next
+time-grid point unless a boundary crossing truncates it.  Dead paths stay in
+the state arrays, marked by a negative mode, until they make up a quarter of
+the rows and are compacted away.
 
 The step, crossing test, face projection and reset map each have one
 batched implementation, used by the engine; the single-state `step`,
@@ -35,7 +39,7 @@ from resetsde.model import (
     ito_coefficients,
 )
 
-_NOISE_BLOCK = 512
+_CHUNK_STEPS = 64  # steps of noise drawn per refill
 _MODE_TERMINAL = -1
 _MODE_ZENO = -2
 _MODE_UNSET = -3
@@ -372,17 +376,11 @@ class _AffineKernel:
             out[:, i] = theta[:, i] + acc
         return out
 
-    def gaps(self, modes, points):
-        g = self.row_normals[:, :, 0] * points[:, 0, None]
+    def gaps(self, modes, points, rows=slice(None)):
+        normals = self.row_normals[rows]
+        g = normals[:, :, 0] * points[:, 0, None]
         for j in range(1, self.d):
-            g += self.row_normals[:, :, j] * points[:, j, None]
-        g -= self.row_offsets
-        return g
-
-    def gaps_rows(self, rows, modes, points):
-        g = self.row_normals[rows, :, 0] * points[:, 0, None]
-        for j in range(1, self.d):
-            g += self.row_normals[rows, :, j] * points[:, j, None]
+            g += normals[:, :, j] * points[:, j, None]
         g -= self.row_offsets[rows]
         return g
 
@@ -416,7 +414,8 @@ class _GeneralKernel:
             out[sel] = pts + move
         return out
 
-    def gaps(self, modes, points):
+    def gaps(self, modes, points, rows=slice(None)):
+        modes = modes[rows]
         g = np.full((points.shape[0], self.f_max), -1.0)
         for q in range(len(self.model.modes)):
             sel = modes == q
@@ -425,9 +424,6 @@ class _GeneralKernel:
             domain = self.model.modes[q].domain
             g[np.ix_(sel, np.arange(domain.n_faces))] = domain.gaps(points[sel])
         return g
-
-    def gaps_rows(self, rows, modes, points):
-        return self.gaps(modes[rows], points)
 
 
 def _make_kernel(model: HybridModel):
@@ -517,6 +513,81 @@ def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]):
 
 
 # ---------------------------------------------------------------------------
+# per-path streams: numpy's SeedSequence([base_seed, i]) hashing, vectorised
+# over the path indices i (constants from numpy/random/bit_generator.pyx)
+
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """numpy's hashmix on uint32 word arrays, with its running constant."""
+
+    def hashmix(words):
+        nonlocal const
+        words = words ^ np.uint32(const)
+        const = const * mult & _MASK32
+        words = words * np.uint32(const)
+        return words ^ (words >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x, y):
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ (out >> np.uint32(16))
+
+
+def _pcg_seeds(base_seed: int, idx: np.ndarray) -> np.ndarray:
+    """`SeedSequence([base_seed, i]).generate_state(4, np.uint64)` for each i in idx.
+
+    numpy's 4-word entropy pool, hashed in uint32 arithmetic over all indices
+    at once: base_seed enters as its little-endian 32-bit words, each index
+    (below 2**32) as one word.
+    """
+    base_seed = int(base_seed)
+    shifts = range(0, max(base_seed.bit_length(), 1), 32)
+    entropy = [np.full(idx.size, base_seed >> s & _MASK32, dtype=np.uint32) for s in shifts]
+    entropy.append(idx.astype(np.uint32))
+    entropy += [np.zeros(idx.size, dtype=np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashout = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashout(pool[k % 4]) for k in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _streams(base_seed: int, idx: np.ndarray) -> list:
+    """`default_rng(SeedSequence([base_seed, i]))` for each i in idx, seeded in one pass."""
+    # numpy.random loads here rather than at package import
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seed(ISeedSequence):  # numpy's protocol for handing a bit generator its seed words
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(Seed(words))) for words in _pcg_seeds(base_seed, idx)]
+
+
+def _check_stream_key(base_seed, last_index) -> None:
+    """Streams are keyed by a non-negative integer seed and a path index below 2**32."""
+    for name, value, bound in (("seed", base_seed, np.inf), ("path index", last_index, 2**32)):
+        if not isinstance(value, (int, np.integer)) or not 0 <= value < bound:
+            raise SimulationError(f"{name} must be an integer in [0, {bound}), got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # the batched engine
 
 
@@ -536,14 +607,11 @@ def _run_batch(
     d = model.dimension
     lo_idx, hi_idx = index_range
     batch = hi_idx - lo_idx
-    gens = [
-        np.random.default_rng(np.random.SeedSequence([base_seed, idx]))
-        for idx in range(lo_idx, hi_idx)
-    ]
+    gens = _streams(base_seed, np.arange(lo_idx, hi_idx))
     kernel = _make_kernel(model)
     n_phi = len(test_functions)
 
-    # live-path state; rows are compacted away as paths die
+    # path state per row; a dead row has a negative mode until it is compacted away
     orig = np.arange(batch, dtype=np.int64)
     mode = np.empty(batch, dtype=np.int64)
     pos = np.zeros((batch, d))
@@ -568,13 +636,6 @@ def _run_batch(
     intL = np.zeros((n_phi, batch))
     jsum = np.zeros((n_phi, batch))
 
-    # per-original-path results, filled when a path's run ends
-    res_mode = np.full(batch, _MODE_UNSET, dtype=np.int64)
-    res_term = np.full(batch, -1, dtype=np.int64)
-    res_t = np.zeros(batch)
-    res_jumps = np.zeros(batch, dtype=np.int64)
-    res_zeno = np.zeros(batch, dtype=bool)
-
     rec = _BatchRecorder(n_out, batch, d, model, test_functions)
     for k in range(n_phi):
         rec.phi0[k] = rec.phi_value(k, mode, pos, term)
@@ -590,23 +651,22 @@ def _run_batch(
         traj_modes[0] = mode
         traj_positions[0] = pos
 
-    buf = np.empty((batch, _NOISE_BLOCK))  # indexed by original position
-    cursor = _NOISE_BLOCK  # force a fill on first use
+    buf = np.empty((batch, _CHUNK_STEPS * d))  # indexed by original position
+    cursor = buf.shape[1]  # force a fill on first use
     n_cp = len(checkpoints)
-    ever_compacted = False
+    n_dead = 0
 
-    while orig.size:
-        if cursor + d > _NOISE_BLOCK:
-            for i in orig:
-                buf[i] = gens[i].standard_normal(_NOISE_BLOCK)
+    while n_dead < orig.size:
+        if cursor == buf.shape[1]:
+            for i in orig[mode >= 0].tolist():
+                gens[i].standard_normal(out=buf[i])
             cursor = 0
-        if ever_compacted:
-            xi = buf[orig, cursor : cursor + d]
-        else:
-            xi = buf[:, cursor : cursor + d]
+        xi = buf[orig, cursor : cursor + d]
         cursor += d
 
-        cps = checkpoints[next_cp]
+        # dead rows step too, but never cross or arrive; past the horizon
+        # they stay on the last checkpoint
+        cps = checkpoints[np.minimum(next_cp, n_cp - 1)]
         delta = cps - t
         sqrt_delta = np.sqrt(delta)
         start_pos = pos
@@ -614,9 +674,13 @@ def _run_batch(
 
         # crossing fractions only for the paths that actually left the domain
         ge = kernel.gaps(mode, theta_new)
-        crossed = np.flatnonzero(np.any(ge >= 0.0, axis=1))
+        # a loop over the few face columns is ~5x faster than np.any(axis=1)
+        hit = ge[:, 0] >= 0.0
+        for k in range(1, ge.shape[1]):
+            hit |= ge[:, k] >= 0.0
+        crossed = np.flatnonzero(hit & (mode >= 0))
         if crossed.size:
-            gs = kernel.gaps_rows(crossed, mode, start_pos[crossed])
+            gs = kernel.gaps(mode, start_pos[crossed], crossed)
             s, faces = _first_crossing(gs, ge[crossed])
             hit_pts = start_pos[crossed] + s[:, None] * (theta_new[crossed] - start_pos[crossed])
 
@@ -636,7 +700,6 @@ def _run_batch(
         t = cps
         next_cp += 1
 
-        dead_rows: list = []
         resync = np.empty(0, dtype=np.int64)
         if crossed.size:
             tau = (t[crossed] - delta[crossed]) + s * delta[crossed]
@@ -675,12 +738,11 @@ def _run_batch(
 
             newly_dead = crossed[mode[crossed] < 0]
             if newly_dead.size:
-                srt = np.sort(newly_dead)
                 rec.record_until_end(
-                    orig[srt], mode[srt], pos[srt], term[srt],
-                    intL[:, srt], jsum[:, srt],
+                    orig[newly_dead], mode[newly_dead], pos[newly_dead], term[newly_dead],
+                    intL[:, newly_dead], jsum[:, newly_dead],
                 )
-                dead_rows.extend(srt.tolist())
+                n_dead += newly_dead.size
 
             # a jump landing on (or an ulp past) a checkpoint arrives there
             live_hits = crossed[mode[crossed] >= 0]
@@ -708,17 +770,13 @@ def _run_batch(
                     intL[:, with_out], jsum[:, with_out],
                 )
             done = arrivals[arrived == n_cp - 1]
-            dead_rows.extend(done.tolist())
+            mode[done] = _MODE_UNSET
+            n_dead += done.size
 
-        if dead_rows:
-            dead = np.unique(np.array(dead_rows, dtype=np.int64))
-            res_mode[orig[dead]] = mode[dead]
-            res_term[orig[dead]] = term[dead]
-            res_t[orig[dead]] = t[dead]
-            res_jumps[orig[dead]] = jumps[dead]
-            res_zeno[orig[dead]] = mode[dead] == _MODE_ZENO
-            keep = np.ones(orig.size, dtype=bool)
-            keep[dead] = False
+        # compaction re-indexes every row array, so it waits for a quarter of them to be dead
+        if 4 * n_dead >= orig.size > n_dead:
+            keep = mode >= 0
+            n_dead = 0
             orig = orig[keep]
             mode = mode[keep]
             pos = pos[keep]
@@ -729,7 +787,6 @@ def _run_batch(
             intL = intL[:, keep]
             jsum = jsum[:, keep]
             kernel.compact(keep)
-            ever_compacted = True
 
     return {
         "mode_at": rec.mode_at,
@@ -739,14 +796,9 @@ def _run_batch(
         "phi_t": rec.phi_t if n_phi else None,
         "intL_at": rec.intL_at if n_phi else None,
         "jsum_at": rec.jsum_at if n_phi else None,
-        "jumps": res_jumps,
-        "zeno": res_zeno,
         "traj_modes": traj_modes,
         "traj_positions": traj_positions,
         "traj_jumps": traj_jumps,
-        "final_mode": res_mode,
-        "final_term": res_term,
-        "final_t": res_t,
     }
 
 
@@ -774,6 +826,7 @@ def simulate_path(
         zeno_cap = default_zeno_cap(horizon)
     if zeno_cap < 1:
         raise SimulationError("zeno_cap must be >= 1")
+    _check_stream_key(rng_seed, path_index)
 
     checkpoints, _ = _checkpoints(horizon, dt, [])
     out_of_cp = np.full(len(checkpoints), -1, dtype=np.int64)
@@ -795,21 +848,20 @@ def simulate_path(
     )
     modes = res["traj_modes"][:, 0]
     positions = res["traj_positions"][:, 0, :]
-    term_id = None
-    term_time = None
-    if res["final_mode"][0] == _MODE_TERMINAL:
-        term_id = model.terminal_states[int(res["final_term"][0])]
-        term_time = float(res["final_t"][0])
+    jumps = sorted(res["traj_jumps"], key=lambda e: e.time)
+    # the last jump tells how the path ended: absorbed, zeno-flagged or neither
+    end = jumps[-1].post if jumps else initial
+    term_id = end.terminal
+    term_time = end.time if term_id is not None else None
+    zeno = len(jumps) >= zeno_cap and term_id is None
+    if term_id is not None:
         after = checkpoints >= term_time
         modes[after] = _MODE_TERMINAL
         positions[after] = np.nan
-    zeno = bool(res["zeno"][0])
     if zeno:
-        flag_time = float(res["final_t"][0])
-        after = checkpoints > flag_time
+        after = checkpoints > end.time
         modes[after] = _MODE_ZENO
         positions[after] = np.nan
-    jumps = sorted(res["traj_jumps"], key=lambda e: e.time)
     return Trajectory(
         checkpoints, modes, positions, jumps,
         terminal_id=term_id, terminal_time=term_time, zeno_flag=zeno,
@@ -839,6 +891,7 @@ def ensemble(
         raise SimulationError("n_paths must be >= 0")
     if dt <= 0.0:
         raise SimulationError("dt must be positive")
+    _check_stream_key(base_seed, max(n_paths - 1, 0))
     if zeno_cap is None:
         zeno_cap = default_zeno_cap(horizon)
     out_times = np.asarray(sorted(output_times), dtype=float)

@@ -58,6 +58,11 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match="output_times"):
             load_config(path)
 
+    def test_negative_base_seed_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"scenario": "brownian_reset", "base_seed": -1})
+        with pytest.raises(SchemaError, match="base_seed"):
+            load_config(path)
+
     def test_output_times_must_fit_horizon(self, tmp_path):
         path = write_config(
             tmp_path, {"scenario": "brownian_reset", "horizon": 1.0, "output_times": [2.0]}

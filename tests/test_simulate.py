@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from resetsde.model import (
     AffineField,
@@ -27,10 +28,13 @@ from resetsde.scenarios import (
     thermostat_initial,
     thermostat_model,
 )
+from resetsde import simulate
 from resetsde.simulate import (
     CharacteristicFaceHit,
     SimulationError,
     _checkpoints,
+    _pcg_seeds,
+    _streams,
     GaussianInitial,
     PathState,
     PointMass,
@@ -42,6 +46,7 @@ from resetsde.simulate import (
     simulate_path,
     step,
 )
+from resetsde.validate import TestFunction
 from test_acceptance import thermostat_phi
 
 
@@ -68,6 +73,36 @@ def zeno_model(offset=1e-3, drift=-5.0, sigma=0.02):
         ResetEdge(0, 1, TerminalTarget("far")),
     ]
     return build_model(ModelSpec(1, [mode], edges, terminal_states=["far"]))
+
+
+def driftless_box_2d(sigma, half_width=100.0):
+    """Constant isotropic noise in a box too wide to reach within a few hundred steps."""
+    mode = Mode(
+        box_domain([-half_width] * 2, [half_width] * 2),
+        VectorFieldSet(zero_field(2), (constant_field([sigma, 0.0]), constant_field([0.0, sigma]))),
+    )
+    edges = [ResetEdge(0, f, TerminalTarget("out")) for f in range(4)]
+    return build_model(ModelSpec(2, [mode], edges, terminal_states=["out"]))
+
+
+def two_box_2d():
+    """Unit box whose bottom face resets into a larger box; every other face is terminal."""
+    diff = (constant_field([0.5, 0.0]), constant_field([0.0, 0.5]))
+    inner = Mode(box_domain([0.0, 0.0], [1.0, 1.0]), VectorFieldSet(constant_field([0.0, -0.3]), diff))
+    outer = Mode(box_domain([-1.0, -1.0], [4.0, 4.0]), VectorFieldSet(zero_field(2), diff))
+    edges = [ResetEdge(0, 2, SurfaceTarget(1, AffineMap(1.7 * np.eye(2), [0.0, 1.0])))]
+    edges += [ResetEdge(0, f, TerminalTarget("out")) for f in (0, 1, 3)]
+    edges += [ResetEdge(1, f, TerminalTarget("out")) for f in range(4)]
+    return build_model(ModelSpec(2, [inner, outer], edges, terminal_states=["out"]))
+
+
+def ruin_phi():
+    """exp(x), whose generator under unit Brownian motion is exp(x) / 2."""
+    return TestFunction(
+        lambda q, pts: np.exp(pts[:, 0]),
+        lambda q, pts: 0.5 * np.exp(pts[:, 0]),
+        terminal_values={"left": 2.0, "right": 3.0},
+    )
 
 
 class TestStep:
@@ -381,6 +416,39 @@ class TestEnsemble:
         for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
             assert np.array_equal(getattr(base, name), getattr(small, name)), name
 
+    def test_dynkin_records_with_dead_rows_independent_of_batch_size(self):
+        # paths die throughout the run, so rows are carried dead between compactions
+        kwargs = dict(
+            initial_law=GaussianInitial(0, [0.3], 0.01),
+            n_paths=300,
+            horizon=1.0,
+            dt=1e-2,
+            output_times=[0.1, 0.4, 1.0],
+            base_seed=8,
+            test_functions=[ruin_phi()],
+        )
+        base = ensemble(gamblers_ruin_model(), **kwargs).dynkin[0]
+        assert np.any(base.jump_sum != 0.0)
+        for batch_size in (17, 1):
+            other = ensemble(gamblers_ruin_model(), batch_size=batch_size, **kwargs).dynkin[0]
+            for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+                assert np.array_equal(getattr(base, name), getattr(other, name)), (batch_size, name)
+
+    def test_noise_memory_scales_with_the_steps_drawn(self):
+        # five steps per path; a buffer of 512 normals per path alone took 82 MB
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ensemble(
+                gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01), 20_000, 0.05, 1e-2,
+                [0.05], base_seed=1,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_repeated_output_time_rejected(self):
         # one output slot per checkpoint: a repeated time would leave a slot
         # that accounts for only part of the paths
@@ -429,10 +497,11 @@ class TestEnsemble:
         assert in_modes + terminal + int(measure.zeno_counts[0]) == n
 
 
-# model, start-position range valid in every mode
+# model, start-position box valid in every mode
 RESET_MODELS = {
-    "thermostat": (thermostat_model(), (19.1, 20.9)),
-    "gamblers_ruin": (gamblers_ruin_model(), (0.05, 0.95)),
+    "thermostat": (thermostat_model(), ([19.1], [20.9])),
+    "gamblers_ruin": (gamblers_ruin_model(), ([0.05], [0.95])),
+    "two_box_2d": (two_box_2d(), ([0.05, 0.05], [0.95, 0.95])),
 }
 
 
@@ -449,7 +518,7 @@ def _last_row_outcome(full, before, t):
 
 
 class TestSinglePathMatchesEnsembleRow:
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=45, deadline=None, derandomize=True, database=None)
     @given(
         st.sampled_from(sorted(RESET_MODELS)),
         st.integers(0, 2**32 - 1),
@@ -460,7 +529,7 @@ class TestSinglePathMatchesEnsembleRow:
     def test_final_state_equals_ensemble_row(self, name, seed, idx, start_mode, where):
         model, (lo, hi) = RESET_MODELS[name]
         q0 = start_mode % len(model.modes)
-        x0 = [lo + where * (hi - lo)]
+        x0 = np.asarray(lo) + where * (np.asarray(hi) - np.asarray(lo))
         horizon, dt = 1.0, 1e-2
         traj = simulate_path(
             model, PathState.in_mode(q0, x0), horizon, dt, rng_seed=seed, path_index=idx
@@ -474,6 +543,70 @@ class TestSinglePathMatchesEnsembleRow:
         assert terminal == traj.terminal_id
         if mode >= 0:
             assert position.tobytes() == traj.positions[-1].tobytes()
+
+
+class TestStreams:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**70 - 1), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    @example(2**100 + 3, [0, 7])  # more seed words than numpy's pool of four
+    def test_seeds_equal_numpy_seed_sequence(self, base_seed, indices):
+        idx = np.array(indices, dtype=np.int64)
+        for words, built, i in zip(_pcg_seeds(base_seed, idx), _streams(base_seed, idx), indices):
+            seq = np.random.SeedSequence([base_seed, i])
+            assert np.array_equal(words, seq.generate_state(4, np.uint64))
+            reference = np.random.default_rng(seq)
+            assert np.array_equal(built.standard_normal(16), reference.standard_normal(16))
+
+    def test_step_j_uses_normals_j_d_to_j_d_plus_d(self):
+        sigma, dt, k, seed, idx = 0.5, 1e-2, 200, 31, 3   # 200 steps: more than three chunks
+        x0 = np.array([0.25, -0.5])
+        traj = simulate_path(
+            driftless_box_2d(sigma), PathState.in_mode(0, x0), k * dt, dt, rng_seed=seed,
+            path_index=idx,
+        )
+        normals = np.random.default_rng(np.random.SeedSequence([seed, idx])).standard_normal((k, 2))
+        assert traj.jumps == [] and traj.positions.shape == (k + 1, 2)
+        expected = x0 + sigma * math.sqrt(dt) * np.cumsum(normals, axis=0)
+        assert np.max(np.abs(traj.positions[1:] - expected)) < 1e-12
+
+    def test_initial_law_draws_first(self):
+        sigma, dt, k, seed, idx, std = 0.5, 1e-2, 200, 31, 3, 0.1
+        x0 = np.array([0.25, -0.5])
+        measure = ensemble(
+            driftless_box_2d(sigma), GaussianInitial(0, x0, std), idx + 1, k * dt, dt,
+            [0.0, k * dt], base_seed=seed,
+        )
+        normals = np.random.default_rng(np.random.SeedSequence([seed, idx])).standard_normal(2 + 2 * k)
+        start = x0 + std * normals[:2]
+        assert measure.mode_clouds[0][0][idx].tobytes() == start.tobytes()
+        expected = start + sigma * math.sqrt(dt) * normals[2:].reshape(k, 2).sum(axis=0)
+        assert np.max(np.abs(measure.mode_clouds[1][0][idx] - expected)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_ensemble_refuses_a_bad_seed(self, seed):
+        with pytest.raises(SimulationError, match="seed"):
+            ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 4, 0.1, 1e-2, [0.1], base_seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_simulate_path_refuses_a_bad_seed(self, seed):
+        with pytest.raises(SimulationError, match="seed"):
+            simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), 0.1, 1e-2, rng_seed=seed)
+
+    def test_simulate_path_refuses_an_index_past_32_bits(self):
+        with pytest.raises(SimulationError, match="path index"):
+            simulate_path(
+                gamblers_ruin_model(), PathState.in_mode(0, [0.3]), 0.1, 1e-2, rng_seed=1,
+                path_index=2**32,
+            )
+
+    def test_ensemble_refuses_indices_past_32_bits(self, monkeypatch):
+        # fail fast instead of simulating 2**32 paths should the check go missing
+        monkeypatch.setattr(simulate, "_run_batch", None)
+        with pytest.raises(SimulationError, match="path index"):
+            ensemble(
+                gamblers_ruin_model(), PointMass(0, [0.3]), 2**32 + 1, 0.1, 1e-2, [0.1],
+                base_seed=1,
+            )
 
 
 class TestFirstPassageConvergence:
