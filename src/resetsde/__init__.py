@@ -37,22 +37,17 @@ from resetsde.simulate import (
     step,
 )
 from resetsde.fpk import (
-    CurrentField,
     DensityState,
     GridLayout,
-    adjoint_apply,
     apply_absorbing_bc,
     build_grid,
     coarsen,
     evolve,
-    probability_current,
     project_density,
-    refine,
     run_to_stationarity,
     stable_dt,
     stationary_density,
     total_mass,
-    transfer_flux,
 )
 from resetsde.validate import (
     SmoothBump,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,11 +137,11 @@ def load_config(path) -> RunConfig:
         raise SchemaError(f"method must be mc, pde or both, got {method!r}")
 
     horizon = float(raw.get("horizon", 1.0))
-    if horizon <= 0:
-        raise SchemaError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise SchemaError("horizon must be positive and finite")
     dt = float(raw.get("dt", 1e-3))
-    if dt <= 0:
-        raise SchemaError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise SchemaError("dt must be positive and finite")
     pde_fraction = float(raw.get("pde_dt_fraction", 0.9))
     if not 0 < pde_fraction <= 1.0:
         raise SchemaError("pde_dt_fraction must lie in (0, 1]")
@@ -151,7 +152,7 @@ def load_config(path) -> RunConfig:
             raise SchemaError("resolution must be an integer >= 4")
 
     output_times = [float(v) for v in raw.get("output_times", [horizon])]
-    if not output_times or any(t < 0 or t > horizon for t in output_times):
+    if not output_times or not all(0 <= t <= horizon for t in output_times):
         raise SchemaError("output_times must be a nonempty subset of [0, horizon]")
     if len(set(output_times)) < len(output_times):
         raise SchemaError("output_times must not repeat a time")

@@ -10,12 +10,14 @@ face, so total mass is conserved structurally rather than asymptotically.
 Terminal states accumulate the outflux of their boundary faces.
 
 The whole update is linear, so each grid assembles it once, on first use, as
-a sparse forward operator (`GridLayout.forward_operator`): cell rates L_h,
-terminal rates T and raw boundary outflux B, built from the same face
-coefficients as `probability_current`.  `evolve` is a numpy matvec per step
-with the same per-step checks; `stationary_density` is a sparse LU solve and
-the only place that loads scipy.  `probability_current`, `divergence_rates`
-and `transfer_flux` stay as the reference path and diagnostics.
+one sparse forward operator (`GridLayout.forward_operator`): face currents F,
+boundary outflux B (the boundary rows of F, signed outward), the routing R
+of each boundary face's outflux to its edge cell and its injection cell or
+terminal, cell rates L_h = div F + R B and terminal rates T.  It is the
+only implementation of the update: `evolve` is a numpy matvec per step,
+clamping a negative boundary outflux through R; `stationary_density` is a
+sparse LU solve and the only place that loads scipy;
+`validate.flux_continuity_residual` reads B p and the one-sided rows of F p.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from resetsde.model import (
     HybridModel,
-    SurfaceTarget,
     TerminalTarget,
     classify_boundary,
     ito_coefficients,
@@ -471,6 +472,8 @@ def project_density(grid: GridLayout, mode_fns: Sequence[Callable | None]) -> De
             vals = np.asarray(fn(mg.cell_center_points()), dtype=float)
         if vals.shape != mg.shape:
             raise SolverError(f"initial density for mode {q_idx} has shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise SolverError(f"initial density for mode {q_idx} is not finite")
         arrays.append(np.maximum(vals, 0.0))
     mass = sum(float(np.sum(a)) * grid.mode_grids[i].cell_volume for i, a in enumerate(arrays))
     if mass <= 0.0:
@@ -485,11 +488,6 @@ class GhostedDensity:
 
     padded: list
     t: float
-
-    def interior(self, mode: int) -> np.ndarray:
-        arr = self.padded[mode]
-        sl = tuple(slice(1, -1) for _ in range(arr.ndim))
-        return arr[sl]
 
 
 def apply_absorbing_bc(model: HybridModel, grid: GridLayout, density: DensityState) -> GhostedDensity:
@@ -521,50 +519,15 @@ def apply_absorbing_bc(model: HybridModel, grid: GridLayout, density: DensitySta
 
 
 # ---------------------------------------------------------------------------
-# probability current
-
-
-@dataclass
-class CurrentField:
-    """Face-normal flux per mode and axis; reset-image faces store one-sided pairs.
-
-    `flux[mode][axis]` holds J . e_axis at each face; entries on reset-image
-    faces are zeroed (the flux-form operator exchanges nothing there) and the
-    one-sided limits live in `h_sides[edge_index] = (J_side1, J_side2)`,
-    ordered lower/upper cell side along the face axis.
-    """
-
-    flux: list
-    h_sides: dict
-    t: float
-
-    def outflux_raw(self, grid: GridLayout, mode: int, axis: int, side: int) -> np.ndarray:
-        arr = self.flux[mode][axis]
-        idx = [slice(None)] * arr.ndim
-        idx[axis] = 0 if side == 0 else -1
-        values = arr[tuple(idx)]
-        sgn = -1.0 if side == 0 else 1.0
-        return sgn * np.atleast_1d(values)
-
-    def max_abs_flux(self) -> float:
-        best = 0.0
-        for per_mode in self.flux:
-            for arr in per_mode:
-                if arr.size:
-                    best = max(best, float(np.max(np.abs(arr))))
-        for j1, j2 in self.h_sides.values():
-            best = max(best, float(np.max(np.abs(j1))), float(np.max(np.abs(j2))))
-        return best
+# assembled forward operator
 
 
 def _build_stencil_cache(model, mg: ModeGrid, mode: int) -> dict:
-    """Field samples at faces and cells, reused every step."""
+    """Field samples at faces and cells, sampled once per grid."""
     fields = model.modes[mode].fields
-    d = mg.dimension
-    cache = {"d": d}
     cell_pts = mg.cell_center_points()
-    cache["A_cell"] = [np.asarray(a(cell_pts), dtype=float) for a in fields.diffusion]
-    for axis in range(d):
+    cache = {"A_cell": [np.asarray(a(cell_pts), dtype=float) for a in fields.diffusion]}
+    for axis in range(mg.dimension):
         face_pts = _face_points(mg, axis)
         cache[("A0f", axis)] = np.asarray(fields.drift(face_pts), dtype=float)[..., axis]
         cache[("Af", axis)] = [
@@ -581,297 +544,37 @@ def _face_points(mg: ModeGrid, axis: int) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
-def probability_current(model: HybridModel, grid: GridLayout, density) -> CurrentField:
-    """Assemble J . nu on every cell face from the (ghosted) density.
-
-    Interior faces use centered averages/differences; boundary faces use the
-    absorbing ghost construction (face density exactly 0); reset-image faces
-    get one-sided stencils on each side and a zero entry in the main arrays.
-    """
-    if isinstance(density, DensityState):
-        density = apply_absorbing_bc(model, grid, density)
-    flux = []
-    for q_idx in range(len(model.modes)):
-        mg = grid.mode_grids[q_idx]
-        cache = grid.stencil_cache(q_idx)
-        p = density.interior(q_idx)
-        if mg.dimension == 1:
-            flux.append([_current_1d(mg, cache, p)])
-        else:
-            flux.append([_current_2d(mg, cache, p, axis) for axis in range(2)])
-
-    h_sides = {}
-    for tab in grid.surface_tables:
-        mg = grid.mode_grids[tab.target_mode]
-        cache = grid.stencil_cache(tab.target_mode)
-        p = density.interior(tab.target_mode)
-        j1, j2 = _one_sided_h(mg, cache, p, tab)
-        h_sides[tab.edge_index] = (j1, j2)
-        arr = flux[tab.target_mode][tab.h_axis]
-        if tab.tgt_tangential is None:
-            arr[tab.h_face_index] = 0.0
-        else:
-            idx = [None, None]
-            idx[tab.h_axis] = tab.h_face_index
-            idx[1 - tab.h_axis] = tab.tgt_tangential
-            arr[tuple(idx)] = 0.0
-    return CurrentField(flux, h_sides, density.t)
-
-
-def _current_1d(mg, cache, p):
-    dx = mg.dx[0]
-    pp = np.concatenate(([-p[0]], p, [-p[-1]]))
-    pbar = 0.5 * (pp[1:] + pp[:-1])
-    j = pbar * cache[("A0f", 0)]
-    for a_cell, a_face in zip(cache["A_cell"], cache[("Af", 0)]):
-        pc = p * a_cell[:, 0]
-        pcp = np.concatenate(([-pc[0]], pc, [-pc[-1]]))
-        j -= 0.5 * a_face * (pcp[1:] - pcp[:-1]) / dx
-    return j
-
-
-def _current_2d(mg, cache, p, axis):
-    dxa = mg.dx[axis]
-    dxt = mg.dx[1 - axis]
-
-    def pad_neg(arr):
-        return np.concatenate(
-            [-arr.take([0], axis=axis), arr, -arr.take([-1], axis=axis)], axis=axis
-        )
-
-    pp = pad_neg(p)
-    lo = [slice(None)] * 2
-    hi = [slice(None)] * 2
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    lo, hi = tuple(lo), tuple(hi)
-
-    pbar = 0.5 * (pp[hi] + pp[lo])
-    j = pbar * cache[("A0f", axis)]
-    for a_cell, a_face in zip(cache["A_cell"], cache[("Af", axis)]):
-        pcn = p * a_cell[..., axis]
-        pct = p * a_cell[..., 1 - axis]
-        # normal derivative across the face, ghosted with -(p A) at boundaries
-        pcp = pad_neg(pcn)
-        div = (pcp[hi] - pcp[lo]) / dxa
-        # tangential derivative at cells, centered with the same ghosting
-        tpad = np.concatenate(
-            [
-                -pct.take([0], axis=1 - axis),
-                pct,
-                -pct.take([-1], axis=1 - axis),
-            ],
-            axis=1 - axis,
-        )
-        tlo = [slice(None)] * 2
-        thi = [slice(None)] * 2
-        tlo[1 - axis] = slice(0, -2)
-        thi[1 - axis] = slice(2, None)
-        dtan = (tpad[tuple(thi)] - tpad[tuple(tlo)]) / (2.0 * dxt)
-        # face value: mean of the two adjacent cells, one-sided at boundaries
-        drep = np.concatenate(
-            [dtan.take([0], axis=axis), dtan, dtan.take([-1], axis=axis)], axis=axis
-        )
-        div = div + 0.5 * (drep[hi] + drep[lo])
-        j -= 0.5 * a_face * div
-    return j
-
-
-def _one_sided_h(mg, cache, p, tab: TransferTable):
-    """One-sided current limits on both sides of an image face."""
-    k = tab.h_axis
-    jh = tab.h_face_index
-    d = mg.dimension
-    dxk = mg.dx[k]
-
-    def cell(idx_k):
-        if d == 1:
-            return p[idx_k]
-        sel = [None, None]
-        sel[k] = idx_k
-        sel[1 - k] = tab.tgt_tangential
-        return p[tuple(sel)]
-
-    def a_cell_comp(r, idx_k, comp):
-        arr = cache["A_cell"][r]
-        if d == 1:
-            return arr[idx_k, comp]
-        sel = [None, None, comp]
-        sel[k] = idx_k
-        sel[1 - k] = tab.tgt_tangential
-        return arr[tuple(sel)]
-
-    def a_face(r):
-        arr = cache[("Af", k)][r]
-        if d == 1:
-            return arr[jh]
-        sel = [None, None]
-        sel[k] = jh
-        sel[1 - k] = tab.tgt_tangential
-        return arr[tuple(sel)]
-
-    def a0_face():
-        arr = cache[("A0f", k)]
-        if d == 1:
-            return arr[jh]
-        sel = [None, None]
-        sel[k] = jh
-        sel[1 - k] = tab.tgt_tangential
-        return arr[tuple(sel)]
-
-    n_r = len(cache["A_cell"])
-    p_lo = 1.5 * cell(jh - 1) - 0.5 * cell(jh - 2)
-    p_hi = 1.5 * cell(jh) - 0.5 * cell(jh + 1)
-    j1 = p_lo * a0_face()
-    j2 = p_hi * a0_face()
-    for r in range(n_r):
-        div_lo = (cell(jh - 1) * a_cell_comp(r, jh - 1, k) - cell(jh - 2) * a_cell_comp(r, jh - 2, k)) / dxk
-        div_hi = (cell(jh + 1) * a_cell_comp(r, jh + 1, k) - cell(jh) * a_cell_comp(r, jh, k)) / dxk
-        if d == 2:
-            div_lo = div_lo + _tangential_div(mg, cache, p, tab, r, jh - 1)
-            div_hi = div_hi + _tangential_div(mg, cache, p, tab, r, jh)
-        j1 = j1 - 0.5 * a_face(r) * div_lo
-        j2 = j2 - 0.5 * a_face(r) * div_hi
-    return np.atleast_1d(j1), np.atleast_1d(j2)
-
-
-def _tangential_div(mg, cache, p, tab, r, idx_k):
-    """d/dt (p A_t) along an image face, from the cell column on one side."""
-    k = tab.h_axis
-    t_axis = 1 - k
-    pct = p * cache["A_cell"][r][..., t_axis]
-    col = pct.take(idx_k, axis=k)
-    padded = np.concatenate(([-col[0]], col, [-col[-1]]))
-    dtan = (padded[2:] - padded[:-2]) / (2.0 * mg.dx[t_axis])
-    return dtan[tab.tgt_tangential]
-
-
-# ---------------------------------------------------------------------------
-# flux-form operators
-
-
-def _clamped_outflux(current: CurrentField, grid: GridLayout, mode: int, axis: int, side: int):
-    raw = current.outflux_raw(grid, mode, axis, side)
-    return np.maximum(raw, 0.0), raw
-
-
-def adjoint_apply(model: HybridModel, grid: GridLayout, density) -> list:
-    """Rate of change dp/dt per cell from the flux-form divergence."""
-    current = probability_current(model, grid, density)
-    return divergence_rates(grid, current)
-
-
-def divergence_rates(grid: GridLayout, current: CurrentField) -> list:
-    """dp/dt = -(1/vol) sum_faces J.nu area, with boundary outflux clamped >= 0.
-
-    Reset-image faces exchange nothing here (their main-array entries are
-    zero); `transfer_flux` reinjects the matching boundary outflux.
-    """
-    rates = []
-    for q_idx, mg in enumerate(grid.mode_grids):
-        vol = mg.cell_volume
-        rate = np.zeros(mg.shape)
-        for axis in range(mg.dimension):
-            arr = current.flux[q_idx][axis].copy()
-            lo_idx = [slice(None)] * mg.dimension
-            lo_idx[axis] = 0
-            hi_idx = [slice(None)] * mg.dimension
-            hi_idx[axis] = -1
-            # clamped outflux: no inflow through absorbing boundary faces
-            arr[tuple(lo_idx)] = np.minimum(arr[tuple(lo_idx)], 0.0)
-            arr[tuple(hi_idx)] = np.maximum(arr[tuple(hi_idx)], 0.0)
-            lo_f = [slice(None)] * mg.dimension
-            lo_f[axis] = slice(0, -1)
-            hi_f = [slice(None)] * mg.dimension
-            hi_f[axis] = slice(1, None)
-            rate -= (arr[tuple(hi_f)] - arr[tuple(lo_f)]) * mg.face_area(axis) / vol
-        rates.append(rate)
-    return rates
-
-
-def transfer_flux(model: HybridModel, grid: GridLayout, current: CurrentField):
-    """Route boundary outflux: image-face sources and terminal mass rates.
-
-    Returns (sources, terminal_rates, diagnostics) where sources[mode] is a
-    mass-per-time array over cells, and the diagnostics record the clamped
-    negative outflux.  Total sink equals total source plus total terminal
-    rate exactly: the identical floats are reused on both sides.
-    """
-    max_flux = current.max_abs_flux()
-    neg_tol = _NEG_OUTFLUX_REL_TOL * max(max_flux, 1e-300)
-    sources = [np.zeros(mg.shape) for mg in grid.mode_grids]
-    terminal_rates = {name: 0.0 for name in model.terminal_states}
-    clamped = 0.0
-    total_sink = 0.0
-    total_source = 0.0
-    total_terminal = 0.0
-
-    for tab in grid.surface_tables:
-        out, raw = _clamped_outflux(current, grid, tab.source_mode, tab.src_axis, tab.src_side)
-        _check_outflux(raw, neg_tol, tab.edge_index)
-        clamped += float(np.sum(out - raw))
-        sink = out * tab.source_area
-        if tab.tgt_tangential is None:
-            sources[tab.target_mode][int(tab.inject_k_index[0])] += float(sink[0])
-        else:
-            idx = [None, None]
-            idx[tab.h_axis] = tab.inject_k_index
-            idx[1 - tab.h_axis] = tab.tgt_tangential
-            np.add.at(sources[tab.target_mode], tuple(idx), sink)
-        s = float(np.sum(sink))
-        total_sink += s
-        total_source += s
-
-    for tab in grid.terminal_tables:
-        out, raw = _clamped_outflux(current, grid, tab.source_mode, tab.src_axis, tab.src_side)
-        _check_outflux(raw, neg_tol, tab.edge_index)
-        clamped += float(np.sum(out - raw))
-        s = float(np.sum(out * grid.mode_grids[tab.source_mode].face_area(tab.src_axis)))
-        terminal_rates[tab.terminal] += s
-        total_sink += s
-        total_terminal += s
-
-    diagnostics = {
-        "clamped_outflux": clamped,
-        "total_sink": total_sink,
-        "total_source": total_source,
-        "total_terminal_rate": total_terminal,
-    }
-    return sources, terminal_rates, diagnostics
-
-
-def _check_outflux(raw, neg_tol, edge_index):
-    worst = float(np.min(raw)) if raw.size else 0.0
-    if worst < -neg_tol:
-        raise NegativeOutflux(
-            f"edge {edge_index}: boundary outflux {worst:.3e} is negative beyond "
-            "tolerance; the absorbing condition is broken"
-        )
-
-
-# ---------------------------------------------------------------------------
-# assembled forward operator
-
-
 @dataclass(frozen=True)
 class ForwardOperator:
     """The linear forward operator of a grid as (rows, cols, vals) triplets.
 
     Cells are numbered mode by mode in C order; mode q starts at
-    `offsets[q]`.  `rate` is L_h (dp/dt per cell, reset injection included),
-    `terminal` is T (mass per unit time into each of the model's terminal
-    states, in order) and `outflux` is B (the raw outflux J.nu of every
-    boundary face before any clamp, table by table).  Each face coefficient
-    enters its two cells, or its source cell and its injection cell or
-    terminal, with opposite signs, so the volume-weighted column sums of
-    [L_h; T] vanish up to rounding.  Reset-image faces are walls.
+    `offsets[q]`.  `current` is F, with J.e_axis = F p on every face: first
+    the faces of each mode and axis in C order, then for each reset edge the
+    lower- and upper-side limits on its image faces, whose rows are
+    `image_rows[edge]`; the central rows of image faces stay empty.  F is
+    not coalesced (`_matvec` sums duplicates).  `outflux` is B, the raw
+    outflux J.nu of every boundary face before any clamp, table by table,
+    with `outflux_edge` naming the reset edge of each row.  `routing` is R:
+    a unit of outflux leaves its edge cell and enters its injection cell or
+    its terminal (rows n_cells onward, in the model's terminal order).
+    `rate` is L_h = div F + R B over cells, where the divergence skips
+    boundary faces and treats image faces as walls, and `terminal` is T, the
+    terminal rows of R B.  Each face coefficient enters its two cells, or
+    its source cell and its injection cell or terminal, with opposite signs,
+    so the volume-weighted column sums of [L_h; T] vanish up to rounding.
     """
 
     shapes: tuple
     offsets: np.ndarray
+    n_faces: int
+    current: tuple
+    image_rows: dict
+    outflux: tuple
+    outflux_edge: np.ndarray
+    routing: tuple
     rate: tuple
     terminal: tuple
-    outflux: tuple
 
     @property
     def n_cells(self) -> int:
@@ -884,6 +587,16 @@ class ForwardOperator:
             for m, shape in enumerate(self.shapes)
         ]
 
+    def flatten(self, arrays) -> np.ndarray:
+        """One flat cell vector from per-mode arrays, the inverse of `split`."""
+        return np.concatenate([np.asarray(a, dtype=float).reshape(-1) for a in arrays])
+
+    def face_currents(self, flat: np.ndarray) -> np.ndarray:
+        return _matvec(self.current, flat, self.n_faces)
+
+    def boundary_outflux(self, flat: np.ndarray) -> np.ndarray:
+        return _matvec(self.outflux, flat, self.outflux_edge.size)
+
 
 def _matvec(triplets, p: np.ndarray, n_rows: int) -> np.ndarray:
     rows, cols, vals = triplets
@@ -891,67 +604,95 @@ def _matvec(triplets, p: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 def _assemble_operator(grid: GridLayout) -> ForwardOperator:
-    """L_h, T and B from the sampled face coefficients, all faces at once."""
+    """F from the sampled face coefficients; B and div F from its terms, R B by composition."""
     model = grid.model
     shapes = tuple(mg.shape for mg in grid.mode_grids)
     offsets = np.concatenate(([0], np.cumsum([int(np.prod(s)) for s in shapes])))
+    n_cells = int(offsets[-1])
     # every boundary side has exactly one table; B numbers its faces in order
     boundary = {}
-    n_out = 0
+    outflux_edge = []
     for tab in grid.surface_tables + grid.terminal_tables:
-        boundary[(tab.source_mode, tab.src_axis, tab.src_side)] = (tab, n_out)
         mg = grid.mode_grids[tab.source_mode]
-        n_out += 1 if mg.dimension == 1 else mg.shape[1 - tab.src_axis]
-    terminal_row = {name: i for i, name in enumerate(model.terminal_states)}
+        m = 1 if mg.dimension == 1 else mg.shape[1 - tab.src_axis]
+        boundary[(tab.source_mode, tab.src_axis, tab.src_side)] = (tab, len(outflux_edge))
+        outflux_edge += [tab.edge_index] * m
+    n_out = len(outflux_edge)
 
-    rate, terminal, outflux = [], [], []
+    current, rate, outflux = [], [], []
+    n_faces = 0
     for q, mg in enumerate(grid.mode_grids):
         d = mg.dimension
         cache = grid.stencil_cache(q)
         for axis in range(d):
             n = mg.shape[axis]
             face_shape = tuple(s + (k == axis) for k, s in enumerate(mg.shape))
-            face, cell, w = _face_current_terms(mg, cache, axis)
-            fidx = np.unravel_index(face, face_shape)
-            fk = fidx[axis]
-            ft = fidx[1 - axis] if d == 2 else np.zeros_like(fk)
-            col = offsets[q] + cell
             wall = np.zeros(face_shape, dtype=bool)
             for j_h, tang in grid.h_faces(q, axis):
                 wall[_index(axis, j_h, tang)] = True
-            wall = wall.reshape(-1)[face]
+            face, cell, w = _face_current_terms(mg, cache, axis)
+            keep = ~wall.reshape(-1)[face]
+            col = offsets[q] + cell
+            current.append((n_faces + face[keep], col[keep], w[keep]))
+            fidx = np.unravel_index(face, face_shape)
+            fk = fidx[axis]
+            ft = fidx[1 - axis] if d == 2 else np.zeros_like(fk)
             coef = w * (mg.face_area(axis) / mg.cell_volume)
-            # what crosses a face leaves its lower cell and enters its upper one
-            for sel, k_cell, sign in ((fk >= 1, fk - 1, -1.0), (fk < n, fk, 1.0)):
-                sel = sel & ~wall
-                ridx = _index(axis, k_cell[sel], ft[sel] if d == 2 else None)
+            # what crosses an inner face leaves its lower cell and enters its upper one
+            inner = keep & (fk >= 1) & (fk < n)
+            for k_cell, sign in ((fk - 1, -1.0), (fk, 1.0)):
+                ridx = _index(axis, k_cell[inner], ft[inner] if d == 2 else None)
                 rows = offsets[q] + np.ravel_multi_index(ridx, mg.shape)
-                rate.append((rows, col[sel], sign * coef[sel]))
+                rate.append((rows, col[inner], sign * coef[inner]))
             for side, at in ((0, fk == 0), (1, fk == n)):
-                tab, start = boundary[(q, axis, side)]
-                raw = w[at] if side else -w[at]
-                tang = ft[at]
-                outflux.append((start + tang, col[at], raw))
-                if isinstance(tab, TransferTable):
-                    tg = grid.mode_grids[tab.target_mode]
-                    tidx = _index(
-                        tab.h_axis,
-                        tab.inject_k_index[tang],
-                        None if d == 1 else tab.tgt_tangential[tang],
-                    )
-                    rows = offsets[tab.target_mode] + np.ravel_multi_index(tidx, tg.shape)
-                    rate.append((rows, col[at], raw * (tab.source_area / tg.cell_volume)))
-                else:
-                    rows = np.full(tang.shape, terminal_row[tab.terminal])
-                    terminal.append((rows, col[at], raw * mg.face_area(axis)))
+                start = boundary[(q, axis, side)][1]
+                outflux.append((start + ft[at], col[at], w[at] if side else -w[at]))
+            n_faces += int(np.prod(face_shape))
 
-    n_cells = int(offsets[-1])
+    image_rows = {}
+    for tab in grid.surface_tables:
+        q = tab.target_mode
+        m = 1 if tab.tgt_tangential is None else tab.tgt_tangential.size
+        face, cell, w = _one_sided_terms(grid.mode_grids[q], grid.stencil_cache(q), tab)
+        current.append((n_faces + face, offsets[q] + cell, w))
+        image_rows[tab.edge_index] = (n_faces + np.arange(m), n_faces + m + np.arange(m))
+        n_faces += 2 * m
+
+    routing = []
+    terminal_row = {name: n_cells + i for i, name in enumerate(model.terminal_states)}
+    for (q, axis, side), (tab, start) in boundary.items():
+        mg = grid.mode_grids[q]
+        tang = None if mg.dimension == 1 else np.arange(mg.shape[1 - axis])
+        src = start + (np.zeros(1, dtype=int) if tang is None else tang)
+        edge = np.full(src.size, 0 if side == 0 else mg.shape[axis] - 1)
+        cells = offsets[q] + np.ravel_multi_index(_index(axis, edge, tang), mg.shape)
+        routing.append((cells, src, np.full(src.size, -mg.face_area(axis) / mg.cell_volume)))
+        if isinstance(tab, TransferTable):
+            tg = grid.mode_grids[tab.target_mode]
+            tidx = _index(tab.h_axis, tab.inject_k_index, tab.tgt_tangential)
+            cells = offsets[tab.target_mode] + np.ravel_multi_index(tidx, tg.shape)
+            routing.append((cells, src, np.full(src.size, tab.source_area / tg.cell_volume)))
+        else:
+            rows = np.full(src.size, terminal_row[tab.terminal])
+            routing.append((rows, src, np.full(src.size, mg.face_area(axis))))
+
+    routing, outflux = _join(routing), _join(outflux)
+    routed = _compose(routing, outflux, n_out)
+    to_cell = routed[0] < n_cells
+    rate = _join(rate + [[x[to_cell] for x in routed]])
+    terminal = [x[~to_cell] for x in routed]
+    terminal[0] = terminal[0] - n_cells
     return ForwardOperator(
         shapes=shapes,
         offsets=offsets,
+        n_faces=n_faces,
+        current=_join(current),
+        image_rows=image_rows,
+        outflux=_coalesce(outflux, n_cells),
+        outflux_edge=np.asarray(outflux_edge, dtype=int),
+        routing=routing,
         rate=_coalesce(rate, n_cells),
         terminal=_coalesce(terminal, n_cells),
-        outflux=_coalesce(outflux, n_cells),
     )
 
 
@@ -962,13 +703,29 @@ def _index(axis: int, along, tangential) -> tuple:
     return (along, tangential) if axis == 0 else (tangential, along)
 
 
+def _stencil_term(mg: ModeGrid, axis: int, rows, coef, ik, it, sample=None):
+    """(row, cell, weight) for coef * sample * p at cell (ik, it) along `axis`.
+
+    At most one index lies one cell outside the grid: that absorbing ghost is
+    the negated edge cell, for p and for p times a cell sample alike.
+    """
+    idx = _index(axis, ik, it)
+    ghost = False
+    for i, n in zip(idx, mg.shape):
+        ghost = ghost | (i < 0) | (i >= n)
+    cell = np.ravel_multi_index(idx, mg.shape, mode="clip")
+    w = np.where(ghost, -coef, coef)
+    if sample is not None:
+        w = w * sample.reshape(-1)[cell]
+    return rows, cell, w
+
+
 def _face_current_terms(mg: ModeGrid, cache: dict, axis: int):
     """(face, cell, weight) with J.e_axis = sum weight * p[cell] on every face.
 
-    The same stencils as `_current_1d` / `_current_2d`: centred face values
-    and normal differences with absorbing ghosts (a ghost cell is the negated
-    edge cell), and in 2D the face mean of centred tangential differences,
-    replicated at the boundary faces and ghosted along the tangent.
+    Centred face values and normal differences with absorbing ghosts, and in
+    2D the face mean of centred tangential differences, replicated at the
+    boundary faces and ghosted along the tangent.
     """
     d = mg.dimension
     tax = 1 - axis
@@ -979,15 +736,8 @@ def _face_current_terms(mg: ModeGrid, cache: dict, axis: int):
     face = np.arange(fk.size)
     terms = []
 
-    def emit(coef, ik, it, field=None):
-        # at most one index lies one cell outside: that ghost is the negated edge cell
-        idx = _index(axis, ik, it)
-        ghost = np.any([(i < 0) | (i >= n) for i, n in zip(idx, mg.shape)], axis=0)
-        cell = np.ravel_multi_index(idx, mg.shape, mode="clip")
-        w = np.where(ghost, -coef, coef)
-        if field is not None:
-            w = w * field.reshape(-1)[cell]
-        terms.append((face, cell, w))
+    def emit(coef, ik, it, sample=None):
+        terms.append(_stencil_term(mg, axis, face, coef, ik, it, sample))
 
     half_a0 = 0.5 * cache[("A0f", axis)].reshape(-1)
     emit(half_a0, fk - 1, ft)
@@ -1001,16 +751,69 @@ def _face_current_terms(mg: ModeGrid, cache: dict, axis: int):
             for ik in (np.maximum(fk - 1, 0), np.minimum(fk, mg.shape[axis] - 1)):
                 emit(ct, ik, ft + 1, a_cell[..., tax])
                 emit(-ct, ik, ft - 1, a_cell[..., tax])
-    return tuple(np.concatenate(parts) for parts in zip(*terms))
+    return _join(terms)
 
 
-def _coalesce(parts, n_cols: int):
+def _one_sided_terms(mg: ModeGrid, cache: dict, tab: TransferTable):
+    """(row, cell, weight) of the one-sided current limits on an image face.
+
+    Rows 0..m-1 hold the lower-side limit and rows m..2m-1 the upper one,
+    each from the two cells on its side only: the face value and the normal
+    difference extrapolated linearly, and in 2D the centred tangential
+    difference along the adjacent cell column, ghosted at its ends.
+    """
+    k, t = tab.h_axis, tab.tgt_tangential
+    at_face = _index(k, tab.h_face_index, t)
+    m = 1 if t is None else t.size
+    jh = np.full(m, tab.h_face_index)
+    rows = np.arange(2 * m)
+    tt = None if t is None else np.tile(t, 2)
+    # per side, the cell next to the face and the one beyond it
+    near, far = np.concatenate([jh - 1, jh]), np.concatenate([jh - 2, jh + 1])
+    terms = []
+
+    def emit(coef, ik, it, sample=None):
+        terms.append(_stencil_term(mg, k, rows, np.tile(coef, 2), ik, it, sample))
+
+    a0 = cache[("A0f", k)][at_face]
+    emit(1.5 * a0, near, tt)
+    emit(-0.5 * a0, far, tt)
+    for a_cell, a_face in zip(cache["A_cell"], cache[("Af", k)]):
+        c = -0.5 * a_face[at_face]
+        # the normal difference runs upward on both sides
+        emit(c / mg.dx[k], np.maximum(near, far), tt, a_cell[..., k])
+        emit(-c / mg.dx[k], np.minimum(near, far), tt, a_cell[..., k])
+        if mg.dimension == 2:
+            ct = 0.5 * c / mg.dx[1 - k]
+            emit(ct, near, tt + 1, a_cell[..., 1 - k])
+            emit(-ct, near, tt - 1, a_cell[..., 1 - k])
+    return _join(terms)
+
+
+def _join(parts):
+    """One (rows, cols, vals) triplet from a list of them."""
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _compose(outer, inner, n_mid: int):
+    """Triplets of the product outer @ inner; duplicate entries in either are fine."""
+    o_rows, o_cols, o_vals = outer
+    i_rows, i_cols, i_vals = inner
+    order = np.argsort(i_rows, kind="stable")
+    counts = np.bincount(i_rows, minlength=n_mid)
+    starts = np.cumsum(counts) - counts
+    reps = counts[o_cols]
+    which = np.repeat(np.arange(o_rows.size), reps)
+    within = np.arange(which.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    j = order[starts[o_cols][which] + within]
+    return o_rows[which], i_cols[j], o_vals[which] * i_vals[j]
+
+
+def _coalesce(triplets, n_cols: int):
     """Sum duplicate (row, col) entries, drop exact zeros, sort by row."""
-    if not parts:
-        return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    rows, cols, vals = triplets
     keys, inverse = np.unique(rows.astype(np.int64) * n_cols + cols, return_inverse=True)
-    summed = np.bincount(inverse, vals)
+    summed = np.bincount(inverse, vals, minlength=keys.size)
     nz = summed != 0.0
     keys = keys[nz]
     return ((keys // n_cols).astype(np.intp), (keys % n_cols).astype(np.intp), summed[nz])
@@ -1045,17 +848,17 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
 
     Each step applies the grid's assembled forward operator to the pre-step
     density: the raw boundary outflux B p, the cell rates L_h p (image-face
-    sources included) and the terminal rates T p.  A step on which some raw
-    outflux is negative goes through `probability_current`,
-    `divergence_rates` and `transfer_flux` instead, which clamp it, or refuse
-    it beyond tolerance with NegativeOutflux.  Mass is conserved after every
-    step up to rounding; a density undershooting the rounding band raises
-    NegativeDensity.
+    sources included) and the terminal rates T p.  On a step where some raw
+    outflux is negative, the routing R clamps it to zero:
+    p += dt (L_h p - R min(B p, 0)), and likewise for the terminal masses.
+    A raw outflux below -1e-6 max|F p| raises NegativeOutflux instead.  Mass
+    is conserved after every step up to rounding; a density undershooting
+    the rounding band raises NegativeDensity.
     """
     if n_steps < 0:
         raise SolverError("n_steps must be >= 0")
-    if dt <= 0.0:
-        raise SolverError("dt must be positive")
+    if not dt > 0.0:
+        raise SolverError(f"dt must be positive, got {dt}")
     bound = grid.stability_bound()
     if dt > bound * (1.0 + 1e-12):
         raise StabilityViolation(f"dt {dt} exceeds the stability bound {bound:.6e}")
@@ -1065,15 +868,16 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     names = model.terminal_states
     step_rate = op.rate[:2] + (dt * op.rate[2],)
     step_terminal = op.terminal[:2] + (dt * op.terminal[2],)
-    p = np.concatenate([np.asarray(arr, dtype=float).reshape(-1) for arr in density.p])
+    p = op.flatten(density.p)
     q = np.array([density.q.get(name, 0.0) for name in names], dtype=float)
     t = density.t
     for _ in range(n_steps):
         raw = _matvec(op.outflux, p, 0)
         if np.min(raw, initial=0.0) < 0.0:
-            state = DensityState(op.split(p), dict(zip(names, q.tolist())), t)
-            _reference_step(model, grid, state, dt)
-            q = np.array([state.q[name] for name in names], dtype=float)
+            _check_outflux(op, p, raw)
+            clamp = _matvec(op.routing, np.minimum(raw, 0.0), n + len(names))
+            q += dt * (_matvec(op.terminal, p, len(names)) - clamp[n:])
+            p += dt * (_matvec(op.rate, p, n) - clamp[:n])
         else:
             q += _matvec(step_terminal, p, len(names))
             p += _matvec(step_rate, p, n)
@@ -1091,15 +895,17 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     return DensityState(op.split(p), terms, t)
 
 
-def _reference_step(model: HybridModel, grid: GridLayout, state: DensityState, dt: float):
-    """One explicit step in place through the face currents and the clamp."""
-    current = probability_current(model, grid, state)
-    rates = divergence_rates(grid, current)
-    sources, terminal_rates, _ = transfer_flux(model, grid, current)
-    for q_idx, mg in enumerate(grid.mode_grids):
-        state.p[q_idx] += dt * (rates[q_idx] + sources[q_idx] / mg.cell_volume)
-    for name, rate in terminal_rates.items():
-        state.q[name] = state.q.get(name, 0.0) + dt * rate
+def _check_outflux(op: ForwardOperator, p: np.ndarray, raw: np.ndarray):
+    """Refuse a raw outflux below -1e-6 max|F p|: the absorbing condition is broken."""
+    neg_tol = _NEG_OUTFLUX_REL_TOL * max(float(np.max(np.abs(op.face_currents(p)))), 1e-300)
+    bad = raw < -neg_tol
+    if np.any(bad):
+        edge = op.outflux_edge[np.argmax(bad)]
+        worst = float(np.min(raw[op.outflux_edge == edge]))
+        raise NegativeOutflux(
+            f"edge {edge}: boundary outflux {worst:.3e} is negative beyond "
+            "tolerance; the absorbing condition is broken"
+        )
 
 
 def _stationary_support(grid: GridLayout):
@@ -1234,25 +1040,6 @@ def run_to_stationarity(
         if l1 < l1_tol:
             break
     return state, {"steps": steps, "l1_change": l1, "converged": l1 < l1_tol}
-
-
-def refine(model: HybridModel, grid: GridLayout, density: DensityState, factor: int):
-    """Prolong to a factor-finer grid by piecewise-constant injection.
-
-    Mass-preserving; useful for warm-starting fine-grid stationary runs from
-    coarse solutions.
-    """
-    if factor < 1:
-        raise SolverError("factor must be >= 1")
-    new_res = [tuple(n * factor for n in mg.shape) for mg in grid.mode_grids]
-    fine_grid = build_grid(model, new_res)
-    arrays = []
-    for arr in density.p:
-        out = arr
-        for axis in range(arr.ndim):
-            out = np.repeat(out, factor, axis=axis)
-        arrays.append(out)
-    return fine_grid, DensityState(arrays, dict(density.q), density.t)
 
 
 def coarsen(model: HybridModel, grid: GridLayout, density: DensityState, factor: int):

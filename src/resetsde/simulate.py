@@ -490,6 +490,13 @@ class _BatchRecorder:
             )
 
 
+def _check_time_grid(horizon: float, dt: float):
+    if not 0.0 < dt < np.inf:
+        raise SimulationError(f"dt must be positive and finite, got {dt}")
+    if not np.isfinite(horizon):
+        raise SimulationError(f"horizon must be finite, got {horizon}")
+
+
 def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]):
     """Sorted checkpoints: the step grid k*dt, the output times and the horizon.
 
@@ -499,7 +506,7 @@ def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]):
     checkpoints and the checkpoint index of each output time.
     """
     times = np.asarray(output_times, dtype=float)
-    if times.size and (times.min() < 0.0 or times.max() > horizon + 1e-12):
+    if not np.all((times >= 0.0) & (times <= horizon + 1e-12)):
         raise SimulationError("output times must lie inside [0, horizon]")
     snap = _SNAP_REL * dt
     grid = np.arange(0.0, horizon, dt)
@@ -820,8 +827,7 @@ def simulate_path(
     The RNG stream is the one trajectory `path_index` would receive inside
     `ensemble(base_seed=rng_seed, ...)`.
     """
-    if dt <= 0.0:
-        raise SimulationError("dt must be positive")
+    _check_time_grid(horizon, dt)
     if zeno_cap is None:
         zeno_cap = default_zeno_cap(horizon)
     if zeno_cap < 1:
@@ -889,8 +895,7 @@ def ensemble(
     """
     if n_paths < 0:
         raise SimulationError("n_paths must be >= 0")
-    if dt <= 0.0:
-        raise SimulationError("dt must be positive")
+    _check_time_grid(horizon, dt)
     _check_stream_key(base_seed, max(n_paths - 1, 0))
     if zeno_cap is None:
         zeno_cap = default_zeno_cap(horizon)

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from resetsde.fpk import DensityState, GridLayout, probability_current, total_mass
+from resetsde.fpk import DensityState, GridLayout, total_mass
 from resetsde.model import HybridModel, SurfaceTarget
 from resetsde.simulate import EmpiricalMeasure
 
@@ -374,16 +374,19 @@ def flux_continuity_residual(model: HybridModel, grid: GridLayout, density: Dens
     """max over paired faces of |J_out - h * (J_in o Phi)| in discrete terms.
 
     J_in on an image face is the orientation-free emission (J_side2 -
-    J_side1) . nu; J_out is the raw outflux of the paired source face.
+    J_side1) . nu from the one-sided rows of the forward operator's face
+    currents; J_out is the raw outflux of the paired source face.
     """
-    current = probability_current(model, grid, density)
+    op = grid.forward_operator()
+    flat = op.flatten(density.p)
+    out = op.boundary_outflux(flat)
+    currents = op.face_currents(flat)
     worst = 0.0
     for tab in grid.surface_tables:
-        out = current.outflux_raw(grid, tab.source_mode, tab.src_axis, tab.src_side)
-        j1, j2 = current.h_sides[tab.edge_index]
-        # the one-sided values are stored in source-face order, so entry i of
-        # each array refers to one paired face couple
-        j_in = j2 - j1
-        residual = np.abs(out - tab.h * j_in)
+        # both are in source-face order, so entry i of each refers to one
+        # paired face couple
+        lower, upper = op.image_rows[tab.edge_index]
+        j_in = currents[upper] - currents[lower]
+        residual = np.abs(out[op.outflux_edge == tab.edge_index] - tab.h * j_in)
         worst = max(worst, float(np.max(residual)))
     return worst

@@ -35,6 +35,21 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match="dt"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["horizon", "dt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_horizon_and_dt_rejected(self, tmp_path, key, value):
+        # json.loads reads NaN and Infinity
+        path = write_config(tmp_path, {"scenario": "brownian_reset", key: value})
+        with pytest.raises(SchemaError, match=key):
+            load_config(path)
+
+    def test_nan_output_time_rejected(self, tmp_path):
+        path = write_config(
+            tmp_path, {"scenario": "brownian_reset", "output_times": [float("nan")]}
+        )
+        with pytest.raises(SchemaError, match="output_times"):
+            load_config(path)
+
     def test_unknown_key_suggests_resolution(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "brownian_reset", "dx": 0.01})
         with pytest.raises(SchemaError, match="'dx'.*resolution"):

@@ -12,23 +12,19 @@ from resetsde.fpk import (
     MisalignedH,
     NegativeDensity,
     NegativeOutflux,
+    SolverError,
     StabilityViolation,
     UnsupportedDimension,
     _matvec,
-    _reference_step,
-    adjoint_apply,
     apply_absorbing_bc,
     build_grid,
     coarsen,
-    divergence_rates,
     evolve,
-    probability_current,
     project_density,
     run_to_stationarity,
     stable_dt,
     stationary_density,
     total_mass,
-    transfer_flux,
     DensityState,
 )
 from resetsde.model import (
@@ -44,6 +40,7 @@ from resetsde.model import (
     build_model,
     constant_field,
     interval_domain,
+    ito_coefficients,
     zero_field,
 )
 from resetsde.scenarios import gamblers_ruin_model
@@ -111,6 +108,74 @@ def point_density(grid, mode, mean, std):
     mass = sum(float(np.sum(a)) * grid.mode_grids[i].cell_volume for i, a in enumerate(arrays))
     q0 = {name: 0.0 for name in grid.model.terminal_states}
     return DensityState([a / mass for a in arrays], q0, 0.0)
+
+
+def face_currents_1d(grid, arrays):
+    """J.e_x on the n + 1 faces of a one-mode 1D grid: the first rows of F p."""
+    op = grid.forward_operator()
+    return op.face_currents(op.flatten(arrays))[: grid.mode_grids[0].shape[0] + 1]
+
+
+def cell_rates(grid, arrays):
+    """L_h p per mode."""
+    op = grid.forward_operator()
+    return op.split(_matvec(op.rate, op.flatten(arrays), op.n_cells))
+
+
+def three_point_response(grid, flat):
+    """[cell rates; terminal rates] of a flat density, written out face by face.
+
+    Along each axis J = b p_f - 1/2 sum_r A_r (A_r p)' on a three-point
+    stencil: p_f is the mean of the two cells, a ghost beyond each box side is
+    the negated edge cell, and image faces carry no current.  The outflux of
+    each boundary face, clamped at zero, leaves its edge cell and enters the
+    injection cell of its image face or its terminal.  The diffusion vectors
+    must be axis-aligned: there are no tangential terms.
+    """
+    model = grid.model
+    op = grid.forward_operator()
+
+    def ghosted(v):
+        return np.concatenate([-v[:1], v, -v[-1:]])
+
+    rates, outflux = [], {}
+    for q, (mg, p) in enumerate(zip(grid.mode_grids, op.split(flat))):
+        fields = model.modes[q].fields
+        centers = mg.cell_center_points()
+        rate = np.zeros(mg.shape)
+        for k in range(mg.dimension):
+            comps = [mg.faces(i) if i == k else mg.centers(i) for i in range(mg.dimension)]
+            faces = np.stack(np.meshgrid(*comps, indexing="ij"), axis=-1)
+
+            def along(field, pts):
+                # component k of a field, with axis k first
+                return np.moveaxis(np.asarray(field(pts), dtype=float)[..., k], k, 0)
+
+            pk = np.moveaxis(p, k, 0)
+            pg = ghosted(pk)
+            j = 0.5 * (pg[1:] + pg[:-1]) * along(fields.drift, faces)
+            for a in fields.diffusion:
+                apg = ghosted(pk * along(a, centers))
+                j -= 0.5 * along(a, faces) * np.diff(apg, axis=0) / mg.dx[k]
+            for j_h, tang in grid.h_faces(q, k):
+                j[j_h if tang is None else (j_h, tang)] = 0.0
+            outflux[(q, k, 0)], outflux[(q, k, 1)] = -j[0], j[-1].copy()
+            j[0], j[-1] = np.minimum(j[0], 0.0), np.maximum(j[-1], 0.0)
+            rate -= np.moveaxis(np.diff(j, axis=0), 0, k) * mg.face_area(k) / mg.cell_volume
+        rates.append(rate)
+    terminal = dict.fromkeys(model.terminal_states, 0.0)
+    for tab in grid.surface_tables:
+        out = np.maximum(outflux[(tab.source_mode, tab.src_axis, tab.src_side)], 0.0)
+        tg = grid.mode_grids[tab.target_mode]
+        idx = [tab.inject_k_index]
+        if tab.tgt_tangential is not None:
+            idx.insert(1 - tab.h_axis, tab.tgt_tangential)
+        np.add.at(rates[tab.target_mode], tuple(idx), out * tab.source_area / tg.cell_volume)
+    for tab in grid.terminal_tables:
+        out = np.maximum(outflux[(tab.source_mode, tab.src_axis, tab.src_side)], 0.0)
+        area = grid.mode_grids[tab.source_mode].face_area(tab.src_axis)
+        terminal[tab.terminal] += float(np.sum(out)) * area
+    return np.concatenate([r.reshape(-1) for r in rates] + [list(terminal.values())])
 
 
 class TestBuildGrid:
@@ -211,6 +276,32 @@ class TestAbsorbingBC:
         assert np.max(np.abs(out.p[0] - expected)) < 2e-3
 
 
+    def test_sine_mode_decay_on_an_absorbing_2d_box(self):
+        # the product sine mode decays at rate pi^2 sigma^2 (half of it per
+        # axis); on the grid it is an exact eigenvector, with eigenvalue
+        # (sigma^2 / 2) (4 / dx^2) sin^2(pi dx / 2) per axis
+        sigma, n = 1.0, 48
+        mode = Mode(
+            box_domain([0.0, 0.0], [1.0, 1.0]),
+            VectorFieldSet(zero_field(2), (constant_field([sigma, 0.0]), constant_field([0.0, sigma]))),
+        )
+        edges = [ResetEdge(0, f, TerminalTarget("out")) for f in range(4)]
+        model = build_model(ModelSpec(2, [mode], edges, terminal_states=["out"]))
+        grid = build_grid(model, n)
+        pts = grid.mode_grids[0].cell_center_points()
+        p0 = (np.pi**2 / 4.0) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+        dt = stable_dt(grid, 0.9)
+        steps = int(round(0.05 / dt))
+        density = DensityState([p0], {"out": 0.0}, 0.0)
+        out = evolve(model, grid, density, dt, steps)
+        rate_h = sigma**2 * (4.0 * n * n) * np.sin(np.pi / (2 * n)) ** 2
+        discrete = p0 * (1.0 - dt * rate_h) ** steps
+        assert np.max(np.abs(out.p[0] - discrete)) <= 1e-12 * np.max(p0)
+        exact = p0 * math.exp(-np.pi**2 * sigma**2 * steps * dt)
+        assert np.max(np.abs(out.p[0] - exact)) < 2e-3
+        assert total_mass(grid, out) == pytest.approx(total_mass(grid, density), abs=1e-12)
+
+
 class TestProbabilityCurrent:
     def test_constant_density_constant_fields_advective_only(self):
         v = 0.7
@@ -224,9 +315,7 @@ class TestProbabilityCurrent:
         ]
         model = build_model(ModelSpec(1, [mode], edges, terminal_states=["out"]))
         grid = build_grid(model, 20)
-        density = DensityState([np.full(20, 2.0)], {"out": 0.0}, 0.0)
-        current = probability_current(model, grid, density)
-        j = current.flux[0][0]
+        j = face_currents_1d(grid, [np.full(20, 2.0)])
         # interior faces: p_bar v exactly, no divergence contribution
         assert np.allclose(j[1:-1], 2.0 * v)
 
@@ -239,14 +328,14 @@ class TestProbabilityCurrent:
             mg = grid.mode_grids[0]
             std = 1.0
             density = point_density(grid, 0, 0.0, std)
-            current = probability_current(model, grid, density)
+            j = face_currents_1d(grid, density.p)
             faces = mg.faces(0)[1:-1]
             analytic = -0.5 * sigma**2 * (
                 -(faces / std**2)
                 * np.exp(-0.5 * faces**2 / std**2)
                 / math.sqrt(2 * math.pi * std**2)
             )
-            errs.append(np.max(np.abs(current.flux[0][0][1:-1] - analytic)))
+            errs.append(np.max(np.abs(j[1:-1] - analytic)))
         assert errs[0] < 2e-4
         assert errs[0] / errs[1] > 3.0   # second-order interior stencils
 
@@ -258,8 +347,7 @@ class TestProbabilityCurrent:
             grid = build_grid(model, n)
             std = sigma / math.sqrt(2.0 * kappa)
             density = point_density(grid, 0, 0.0, std)
-            current = probability_current(model, grid, density)
-            maxjs.append(np.max(np.abs(current.flux[0][0][1:-1])))
+            maxjs.append(np.max(np.abs(face_currents_1d(grid, density.p)[1:-1])))
         assert maxjs[0] / maxjs[1] > 3.0
         assert maxjs[1] < 5e-4
 
@@ -268,8 +356,7 @@ class TestAdjointApply:
     def test_constant_density_zero_drift_interior_rate_zero(self):
         model = brownian_interval(0.0, 1.0, sigma=0.8)
         grid = build_grid(model, 40)
-        density = DensityState([np.ones(40)], {"hit": 0.0, "escaped": 0.0}, 0.0)
-        rates = adjoint_apply(model, grid, density)
+        rates = cell_rates(grid, [np.ones(40)])
         assert np.allclose(rates[0][2:-2], 0.0, atol=1e-14)
 
     def test_linear_density_constant_advection(self):
@@ -287,8 +374,7 @@ class TestAdjointApply:
         model = build_model(ModelSpec(1, [mode], edges, terminal_states=["out"]))
         grid = build_grid(model, 50)
         xs = grid.mode_grids[0].centers(0)
-        density = DensityState([alpha * xs + 0.3], {"out": 0.0}, 0.0)
-        rates = adjoint_apply(model, grid, density)
+        rates = cell_rates(grid, [alpha * xs + 0.3])
         assert np.allclose(rates[0][2:-2], -v * alpha, atol=1e-12)
 
     def test_heat_kernel_evolution_interior(self):
@@ -313,14 +399,12 @@ class TestTransferFlux:
     def test_zero_density_all_zero(self):
         model = thermostat_1d()
         grid = build_grid(model, thermostat_resolution(0.04))
-        density = DensityState(
-            [np.zeros(mg.shape) for mg in grid.mode_grids], {"truncated": 0.0}, 0.0
-        )
-        current = probability_current(model, grid, density)
-        sources, rates, diag = transfer_flux(model, grid, current)
-        assert all(np.all(s == 0.0) for s in sources)
-        assert rates["truncated"] == 0.0
-        assert diag["total_sink"] == 0.0
+        op = grid.forward_operator()
+        zero = np.zeros(op.n_cells)
+        assert np.all(op.face_currents(zero) == 0.0)
+        assert np.all(op.boundary_outflux(zero) == 0.0)
+        assert np.all(_matvec(op.rate, zero, op.n_cells) == 0.0)
+        assert np.all(_matvec(op.terminal, zero, 1) == 0.0)
 
     def test_thermostat_sink_equals_source_exactly(self):
         model = thermostat_1d()
@@ -329,11 +413,22 @@ class TestTransferFlux:
         # evolve a little so flux reaches the switching faces
         dt = stable_dt(grid, 0.9)
         state = evolve(model, grid, density, dt, 500)
-        current = probability_current(model, grid, state)
-        sources, rates, diag = transfer_flux(model, grid, current)
-        assert diag["total_sink"] == diag["total_source"] + diag["total_terminal_rate"]
-        total_injected = sum(float(np.sum(s)) for s in sources)
-        assert total_injected == pytest.approx(diag["total_source"], abs=1e-18)
+        op = grid.forward_operator()
+        raw = op.boundary_outflux(op.flatten(state.p))
+        routed = _matvec(op.routing, raw, op.n_cells + 1)
+        vol = np.concatenate([np.full(mg.shape, mg.cell_volume) for mg in grid.mode_grids])
+        # each reset face's outflux leaves its edge cell and enters its
+        # injection cell; the terminal receives the rest
+        for tab in grid.surface_tables:
+            out = float(raw[op.outflux_edge == tab.edge_index][0])
+            assert out > 0.0
+            n_src = grid.mode_grids[tab.source_mode].shape[0]
+            edge_cell = op.offsets[tab.source_mode] + (0 if tab.src_side == 0 else n_src - 1)
+            inject_cell = op.offsets[tab.target_mode] + tab.inject_k_index[0]
+            assert -routed[edge_cell] * vol[edge_cell] == pytest.approx(out, rel=1e-15)
+            assert routed[inject_cell] * vol[inject_cell] == pytest.approx(out, rel=1e-15)
+        total = float(routed[: op.n_cells] @ vol) + float(routed[-1])
+        assert abs(total) <= 1e-15 * float(np.sum(np.abs(raw)))
 
     def test_brownian_terminal_rate_is_boundary_outflux(self):
         model = brownian_interval(0.0, 8.0)
@@ -341,10 +436,12 @@ class TestTransferFlux:
         density = point_density(grid, 0, 1.0, 0.2)
         dt = stable_dt(grid, 0.9)
         state = evolve(model, grid, density, dt, 200)
-        current = probability_current(model, grid, state)
-        _, rates, _ = transfer_flux(model, grid, current)
-        out0 = current.outflux_raw(grid, 0, 0, 0)
-        assert rates["hit"] == pytest.approx(float(out0[0]), abs=1e-18)
+        op = grid.forward_operator()
+        flat = op.flatten(state.p)
+        rates = _matvec(op.terminal, flat, 2)
+        tab = next(t for t in grid.terminal_tables if t.terminal == "hit")
+        out0 = op.boundary_outflux(flat)[op.outflux_edge == tab.edge_index]
+        assert rates[model.terminal_states.index("hit")] == pytest.approx(float(out0[0]), abs=1e-18)
 
     def test_negative_outflux_detected(self):
         model = brownian_interval(0.0, 1.0)
@@ -352,10 +449,13 @@ class TestTransferFlux:
         # an adversarial density with a negative cell next to the boundary
         arr = np.full(20, 0.1)
         arr[0] = -0.5
+        op = grid.forward_operator()
+        flat = op.flatten([arr])
+        worst = float(np.min(op.boundary_outflux(flat)))
+        assert worst < -1e-6 * float(np.max(np.abs(op.face_currents(flat))))
         density = DensityState([arr], {"hit": 0.0, "escaped": 0.0}, 0.0)
-        current = probability_current(model, grid, density)
-        with pytest.raises(NegativeOutflux):
-            transfer_flux(model, grid, current)
+        with pytest.raises(NegativeOutflux, match="edge 0"):
+            evolve(model, grid, density, stable_dt(grid, 0.9), 1)
 
 
 class TestEvolve:
@@ -428,8 +528,7 @@ class TestEvolve:
         dx = mg.dx[0]
         p = np.exp(-0.5 * (xs - 0.4) ** 2 / 0.6)
         p /= np.sum(p) * dx
-        density = DensityState([p.copy()], {"escaped": 0.0}, 0.0)
-        rates = adjoint_apply(model, grid, density)
+        rates = cell_rates(grid, [p])
         bp = -kappa * xs * p
         ap = sigma**2 * p
         direct = np.empty_like(p)
@@ -440,6 +539,14 @@ class TestEvolve:
         scale = np.max(np.abs(direct[interior]))
         assert np.max(np.abs(rates[0][interior] - direct[interior])) < 2e-3 * scale
 
+    def test_non_finite_dt_refused(self):
+        model = brownian_interval()
+        grid = build_grid(model, 100)
+        density = point_density(grid, 0, 1.0, 0.1)
+        for dt in (float("nan"), -1.0, 0.0):
+            with pytest.raises(SolverError, match="dt must be positive"):
+                evolve(model, grid, density, dt, 1)
+
 
 class TestStationaryAndCoarsen:
     def test_direct_stationary_profile_is_a_fixed_point(self):
@@ -448,10 +555,10 @@ class TestStationaryAndCoarsen:
         state = stationary_density(model, grid)
         assert total_mass(grid, state) == pytest.approx(1.0, abs=1e-10)
         # both switching faces carry flux in the stationary cycle
-        current = probability_current(model, grid, state)
+        op = grid.forward_operator()
+        raw = op.boundary_outflux(op.flatten(state.p))
         for tab in grid.surface_tables:
-            out = current.outflux_raw(grid, tab.source_mode, tab.src_axis, tab.src_side)
-            assert float(out[0]) > 1e-2
+            assert float(raw[op.outflux_edge == tab.edge_index][0]) > 1e-2
         # evolving from the stationary profile barely moves it
         dt = stable_dt(grid, 0.9)
         evolved = evolve(model, grid, state.copy(), dt, 400)
@@ -490,6 +597,13 @@ class TestStationaryAndCoarsen:
         grid = build_grid(model, 64)
         density = project_density(grid, [lambda pts: np.exp(-pts[..., 0])])
         assert total_mass(grid, density) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_project_density_refuses_non_finite_values(self, bad):
+        model = brownian_interval(0.0, 1.0)
+        grid = build_grid(model, 64)
+        with pytest.raises(SolverError, match="not finite"):
+            project_density(grid, [lambda pts: np.where(pts[..., 0] > 0.5, bad, 1.0)])
 
 
 class Test2DTransfer:
@@ -609,19 +723,26 @@ def dense_operator(grid):
     return dense
 
 
-def reference_response(model, grid, flat):
-    """[cell rates; terminal rates] of a flat density through the face currents."""
-    op = grid.forward_operator()
-    density = DensityState(op.split(flat), {}, 0.0)
-    current = probability_current(model, grid, density)
-    rates = divergence_rates(grid, current)
-    sources, terminal_rates, _ = transfer_flux(model, grid, current)
-    cells = [
-        (rates[m] + sources[m] / mg.cell_volume).reshape(-1)
-        for m, mg in enumerate(grid.mode_grids)
-    ]
-    terms = [terminal_rates[name] for name in model.terminal_states]
-    return np.concatenate(cells + [np.asarray(terms, dtype=float)])
+def forward_rates(model, pts, p, h=1e-3):
+    """-d_i(b_i p) + 1/2 d_i d_j(a_ij p) at points, by central differences in h."""
+    d = pts.shape[-1]
+    shifts = np.eye(d) * h
+
+    def ba(x):
+        b, a = ito_coefficients(model, 0, x)
+        return b * p(x)[:, None], a * p(x)[:, None, None]
+
+    out = np.zeros(len(pts))
+    for i in range(d):
+        out -= (ba(pts + shifts[i])[0][:, i] - ba(pts - shifts[i])[0][:, i]) / (2 * h)
+        for j in range(d):
+            corners = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+            mixed = sum(
+                si * sj * ba(pts + si * shifts[i] + sj * shifts[j])[1][:, i, j]
+                for si, sj in corners
+            )
+            out += 0.5 * mixed / (4 * h * h)
+    return out
 
 
 class TestForwardOperator:
@@ -634,7 +755,7 @@ class TestForwardOperator:
         for c in range(n):
             unit = np.zeros(n)
             unit[c] = 1.0
-            expected = reference_response(model, grid, unit)
+            expected = three_point_response(grid, unit)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(dense[:, c] - expected)) <= 1e-12 * scale, c
 
@@ -651,22 +772,55 @@ class TestForwardOperator:
         sums = np.sum(weighted, axis=0)
         assert np.max(np.abs(sums)) <= 1e-13 * np.max(np.abs(weighted))
 
-    def test_cross_diffusion_2d_matches_the_face_current_path(self):
-        # a unit vector can drive a cross-diffusive boundary outflux negative,
-        # where the reference clamps; compare on a smooth density bounded away
-        # from zero, whose raw outflux is positive on every boundary face
+    def test_cross_diffusion_rates_converge_at_second_order(self):
+        # L_h on point values of a smooth density against the forward
+        # operator of the Ito coefficients, away from the boundary and from
+        # the image line x = 0.5, whose cells see a wall and the injection
         model = sheared_box_2d()
-        grid = build_grid(model, [(16, 24)])
-        op = grid.forward_operator()
-        tab = grid.surface_tables[0]
-        assert len(set(tab.inject_k_index.tolist())) == 2
+        tab_sides = []
+        errors = []
+        for cells in ((16, 32), (32, 64), (64, 128)):
+            grid = build_grid(model, [cells])
+            tab_sides.append(len(set(grid.surface_tables[0].inject_k_index.tolist())))
+            pts = grid.mode_grids[0].cell_center_points().reshape(-1, 2)
+
+            def density(x):
+                return np.exp(-((x[:, 0] - 0.3) ** 2) / 0.08 - (x[:, 1] - 1.0) ** 2 / 0.3)
+
+            x, y = pts[:, 0], pts[:, 1]
+            inside = (np.abs(x - 0.25) < 0.15) | (np.abs(x - 0.75) < 0.15)
+            inside &= np.abs(y - 1.0) < 0.8
+            got = cell_rates(grid, [density(pts).reshape(cells)])[0].reshape(-1)
+            expected = forward_rates(model, pts, density)
+            errors.append(np.max(np.abs(got - expected)[inside]) / np.max(np.abs(expected)))
+        assert tab_sides == [2, 2, 2]
+        assert errors[0] < 0.05
+        assert errors[0] / errors[1] > 3.5 and errors[1] / errors[2] > 3.5
+
+    def test_one_sided_image_face_limits_are_exact_for_a_linear_density(self):
+        # with constant fields J = b p - 1/2 a grad p; a linear p makes the
+        # two-cell extrapolations and the tangential differences exact away
+        # from the tangential ends, where the absorbing ghost enters
+        b = np.array([0.3, -0.2])
+        diffusion = (constant_field([0.5, 0.2]), constant_field([0.1, 0.4]))
+        mode = Mode(box_domain([0.0, 0.0], [1.0, 1.0]), VectorFieldSet(constant_field(b), diffusion))
+        edges = [ResetEdge(0, 1, SurfaceTarget(0, AffineMap(np.eye(2), [-0.5, 0.0])))]
+        edges += [ResetEdge(0, f, TerminalTarget("out")) for f in (0, 2, 3)]
+        model = build_model(ModelSpec(2, [mode], edges, terminal_states=["out"]))
+        grid = build_grid(model, [(16, 12)])
+        a = sum(np.outer(v, v) for v in ([0.5, 0.2], [0.1, 0.4]))
+        grad = np.array([0.7, 0.4])
         pts = grid.mode_grids[0].cell_center_points()
-        x, y = pts[..., 0], pts[..., 1]
-        flat = (1.0 + 0.5 * x * y + 0.3 * np.sin(3.0 * y)).reshape(-1)
-        assert np.min(_matvec(op.outflux, flat, 0)) >= 0.0
-        expected = reference_response(model, grid, flat)
-        got = np.concatenate([_matvec(op.rate, flat, op.n_cells), _matvec(op.terminal, flat, 1)])
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        p = 1.0 + pts[..., 0] * grad[0] + pts[..., 1] * grad[1]
+        op = grid.forward_operator()
+        currents = op.face_currents(op.flatten([p]))
+        tab = grid.surface_tables[0]
+        ys = grid.mode_grids[0].centers(1)[tab.tgt_tangential]
+        exact = b[0] * (1.0 + 0.5 * grad[0] + ys * grad[1]) - 0.5 * (a @ grad)[0]
+        interior = (tab.tgt_tangential >= 1) & (tab.tgt_tangential <= 10)
+        for rows in op.image_rows[tab.edge_index]:
+            assert np.max(np.abs(currents[rows] - exact)[interior]) <= 1e-13
+            assert np.max(np.abs(currents[rows] - exact)[~interior]) > 1e-3
 
     def test_build_grid_assembles_nothing(self):
         grid = build_grid(thermostat_1d(), thermostat_resolution(0.04))
@@ -691,7 +845,7 @@ class TestForwardOperator:
 
     def test_negative_outflux_step_takes_the_clamping_path(self):
         # a small negative edge cell drives the raw boundary outflux below
-        # zero; that step must equal the clamped face-current step bit for bit
+        # zero; that step must equal the clamped three-point step
         model = brownian_interval(0.0, 1.0)
         grid = build_grid(model, 20)
         arr = np.full(20, 0.5)
@@ -699,10 +853,27 @@ class TestForwardOperator:
         density = DensityState([arr], {"hit": 0.0, "escaped": 0.0}, 0.0)
         dt = stable_dt(grid, 0.9)
         out = evolve(model, grid, density, dt, 1)
-        expected = density.copy()
-        _reference_step(model, grid, expected, dt)
-        assert np.array_equal(out.p[0], expected.p[0])
-        assert out.q == expected.q
+        expected = arr + dt * three_point_response(grid, arr)[:20]
+        assert np.max(np.abs(out.p[0] - expected)) <= 1e-14 * np.max(arr)
+        assert out.q["hit"] == 0.0
+        assert out.q["escaped"] > 0.0
+
+    def test_negative_outflux_at_reset_source_faces_is_clamped(self):
+        model = thermostat_1d()
+        grid = build_grid(model, thermostat_resolution(0.02))
+        state = point_density(grid, 0, 20.0, 0.5)
+        state.p[1] = state.p[0][::-1].copy()
+        state.p[0][0] = -1e-9
+        state.p[1][-1] = -1e-9
+        op = grid.forward_operator()
+        flat = op.flatten(state.p)
+        raw = op.boundary_outflux(flat)
+        assert all(raw[op.outflux_edge == tab.edge_index] < 0.0 for tab in grid.surface_tables)
+        dt = stable_dt(grid, 0.9)
+        out = evolve(model, grid, state, dt, 1)
+        expected = np.append(flat, 0.0) + dt * three_point_response(grid, flat)
+        got = np.append(op.flatten(out.p), out.q["truncated"])
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(flat)
 
     def test_negative_outflux_beyond_tolerance_refused_by_evolve(self):
         model = brownian_interval(0.0, 1.0)
@@ -753,14 +924,14 @@ class TestEvolveProperties:
         )
         dt = stable_dt(grid, fraction)
         state = density
-        reference = density.copy()
+        reference = np.concatenate([density.p[0], [0.0]])
         for _ in range(30):
             state = evolve(model, grid, state, dt, 1)
-            _reference_step(model, grid, reference, dt)
+            reference += dt * three_point_response(grid, reference[:-1])
             assert abs(total_mass(grid, state) - 1.0) <= 1e-12
-            scale = float(np.max(np.abs(reference.p[0])))
-            assert np.max(np.abs(state.p[0] - reference.p[0])) <= 1e-12 * scale
-            assert state.q["out"] == pytest.approx(reference.q["out"], abs=1e-12)
+            scale = float(np.max(np.abs(reference[:-1])))
+            assert np.max(np.abs(state.p[0] - reference[:-1])) <= 1e-12 * scale
+            assert state.q["out"] == pytest.approx(reference[-1], abs=1e-12)
         batched = evolve(model, grid, density, dt, 30)
         assert np.array_equal(batched.p[0], state.p[0])
 

@@ -458,6 +458,19 @@ class TestEnsemble:
                 [0.5, 0.5], base_seed=1,
             )
 
+    @pytest.mark.parametrize(
+        "horizon, dt", [(np.nan, 1e-2), (np.inf, 1e-2), (0.1, np.nan), (0.1, np.inf)]
+    )
+    def test_non_finite_horizon_or_dt_rejected(self, horizon, dt):
+        with pytest.raises(SimulationError, match="finite"):
+            ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 4, horizon, dt, [0.1], base_seed=1)
+        with pytest.raises(SimulationError, match="finite"):
+            simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), horizon, dt, rng_seed=1)
+
+    def test_nan_output_time_rejected(self):
+        with pytest.raises(SimulationError, match="output times"):
+            ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 4, 0.1, 1e-2, [np.nan], base_seed=1)
+
     def test_mass_accounting(self):
         model = brownian_reset_model()
         n = 2000

@@ -3,14 +3,12 @@ import pytest
 
 from resetsde.fpk import (
     DensityState,
+    _matvec,
     build_grid,
-    divergence_rates,
     evolve,
-    probability_current,
     stable_dt,
     stationary_density,
     total_mass,
-    transfer_flux,
 )
 from resetsde.scenarios import (
     GaussianCells,
@@ -248,21 +246,30 @@ class TestDiscreteStokes:
         assert omitted == pytest.approx(2 * (c2 - c1), abs=1e-12)
 
     def test_solver_fields_satisfy_the_mass_rate_identity(self):
-        # flux-form rates plus injected sources account exactly for the
+        # cell rates, reset injection included, account exactly for the
         # terminal outflux: the discrete identity applied to the solver's own
-        # current field
+        # forward operator on a reset-fed density
         model = thermostat_model()
         grid = build_grid(model, thermostat_resolution(PARAMS, 0.01))
-        state = stationary_density(model, grid)
-        current = probability_current(model, grid, state)
-        rates = divergence_rates(grid, current)
-        sources, terminal_rates, diag = transfer_flux(model, grid, current)
-        total_rate = sum(
-            float(np.sum(rates[q])) * grid.mode_grids[q].cell_volume
-            + float(np.sum(sources[q]))
-            for q in range(len(rates))
+        stationary = stationary_density(model, grid)
+        # the stationary profile leaves nothing for the terminal; a spreading
+        # bump does
+        bump = DensityState(
+            [GaussianCells(20.0, 0.6).cell_average(mg) for mg in grid.mode_grids],
+            {"truncated": 0.0},
+            0.0,
         )
-        assert total_rate == pytest.approx(-sum(terminal_rates.values()), abs=1e-12)
+        op = grid.forward_operator()
+        for state in (stationary, bump):
+            flat = op.flatten(state.p)
+            rates = op.split(_matvec(op.rate, flat, op.n_cells))
+            terminal_rates = _matvec(op.terminal, flat, len(model.terminal_states))
+            total_rate = sum(
+                float(np.sum(rates[q])) * grid.mode_grids[q].cell_volume
+                for q in range(len(rates))
+            )
+            assert total_rate == pytest.approx(-float(np.sum(terminal_rates)), abs=1e-12)
+        assert float(np.sum(terminal_rates)) > 1e-3
 
 
 class TestCompareMcPde:
