@@ -105,6 +105,16 @@ def _suggest(key: str) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
+def _integer(raw: dict, key: str, default, minimum: int):
+    """An integer config value >= minimum; JSON floats, NaN, Infinity and strings are refused."""
+    value = raw.get(key, default)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SchemaError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     text = Path(path).read_text()
@@ -157,28 +167,17 @@ def load_config(path) -> RunConfig:
     if len(set(output_times)) < len(output_times):
         raise SchemaError("output_times must not repeat a time")
 
-    ensemble_size = int(raw.get("ensemble_size", 10_000))
-    if method in ("mc", "both") and ensemble_size < 1:
-        raise SchemaError("ensemble_size must be >= 1 when the method includes mc")
-
-    base_seed = int(raw.get("base_seed", 0))
-    if base_seed < 0:
-        raise SchemaError("base_seed must be >= 0")
-
-    zeno_cap = raw.get("zeno_cap")
-    if zeno_cap is not None:
-        zeno_cap = int(zeno_cap)
-        if zeno_cap < 1:
-            raise SchemaError("zeno_cap must be >= 1")
-
-    threads = int(raw.get("threads", 1))
-    if threads < 1:
-        raise SchemaError("threads must be >= 1")
+    ensemble_size = _integer(raw, "ensemble_size", 10_000, 1 if method in ("mc", "both") else 0)
+    base_seed = _integer(raw, "base_seed", 0, 0)
+    zeno_cap = _integer(raw, "zeno_cap", None, 1)
+    threads = _integer(raw, "threads", 1, 1)
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     for key, value in raw.get("tolerances", {}).items():
         if key not in tolerances:
             raise SchemaError(f"unknown tolerance {key!r}; known: {', '.join(tolerances)}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+            raise SchemaError(f"tolerance {key!r} must be a finite number >= 0, got {value!r}")
         tolerances[key] = float(value)
 
     return RunConfig(

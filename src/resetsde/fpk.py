@@ -848,8 +848,9 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
 
     Each step applies the grid's assembled forward operator to the pre-step
     density: the raw boundary outflux B p, the cell rates L_h p (image-face
-    sources included) and the terminal rates T p.  On a step where some raw
-    outflux is negative, the routing R clamps it to zero:
+    sources included) and the terminal rates T p, as one matvec of the
+    stacked operator [B; dt T; dt L_h] built once per call.  On a step where
+    some raw outflux is negative, the routing R clamps it to zero:
     p += dt (L_h p - R min(B p, 0)), and likewise for the terminal masses.
     A raw outflux below -1e-6 max|F p| raises NegativeOutflux instead.  Mass
     is conserved after every step up to rounding; a density undershooting
@@ -866,21 +867,31 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     op = grid.forward_operator()
     n = op.n_cells
     names = model.terminal_states
-    step_rate = op.rate[:2] + (dt * op.rate[2],)
-    step_terminal = op.terminal[:2] + (dt * op.terminal[2],)
+    n_b, n_t = op.outflux_edge.size, len(names)
+    # rows [0, n_b) are B, then dt T, then dt L_h; each block keeps its entry
+    # order, so every row sums the same terms in the same order as alone
+    stacked = tuple(
+        np.concatenate(parts)
+        for parts in zip(
+            op.outflux,
+            (op.terminal[0] + n_b, op.terminal[1], dt * op.terminal[2]),
+            (op.rate[0] + (n_b + n_t), op.rate[1], dt * op.rate[2]),
+        )
+    )
     p = op.flatten(density.p)
     q = np.array([density.q.get(name, 0.0) for name in names], dtype=float)
     t = density.t
     for _ in range(n_steps):
-        raw = _matvec(op.outflux, p, 0)
+        out = _matvec(stacked, p, n_b + n_t + n)
+        raw = out[:n_b]
         if np.min(raw, initial=0.0) < 0.0:
             _check_outflux(op, p, raw)
-            clamp = _matvec(op.routing, np.minimum(raw, 0.0), n + len(names))
-            q += dt * (_matvec(op.terminal, p, len(names)) - clamp[n:])
+            clamp = _matvec(op.routing, np.minimum(raw, 0.0), n + n_t)
+            q += dt * (_matvec(op.terminal, p, n_t) - clamp[n:])
             p += dt * (_matvec(op.rate, p, n) - clamp[:n])
         else:
-            q += _matvec(step_terminal, p, len(names))
-            p += _matvec(step_rate, p, n)
+            q += out[n_b : n_b + n_t]
+            p += out[n_b + n_t :]
         t += dt
         if p.min() < 0.0:
             tol = _NEG_DENSITY_REL_TOL * max(float(p.max()), 1e-300)

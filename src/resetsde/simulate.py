@@ -12,7 +12,8 @@ Every trajectory draws from its own numpy PCG64 stream, seeded as
 bit-for-bit regardless of batch size or worker count.  A stream's draws are
 laid out as follows: the initial law draws first, then step j uses normals
 [j*d, (j+1)*d).  Normals are drawn in chunks of 64 steps for the live paths
-only, so noise memory is O(batch * 64 * d).  The hot loop advances all live
+only, so noise memory is O(batch * 64 * d); a path's initial-law normals
+share one draw call with its first chunk.  The hot loop advances all live
 paths in lockstep: one proposal per iteration, landing exactly on the next
 time-grid point unless a boundary crossing truncates it.  Dead paths stay in
 the state arrays, marked by a negative mode, until they make up a quarter of
@@ -151,9 +152,6 @@ class PointMass:
         self.mode = mode
         self.position = np.asarray(position, dtype=float).reshape(-1)
 
-    def sample(self, rng) -> tuple[int, np.ndarray]:
-        return self.mode, self.position.copy()
-
 
 class GaussianInitial:
     """Isotropic or per-axis normal initial position inside one mode."""
@@ -162,9 +160,6 @@ class GaussianInitial:
         self.mode = mode
         self.mean = np.asarray(mean, dtype=float).reshape(-1)
         self.std = np.broadcast_to(np.asarray(std, dtype=float), self.mean.shape).copy()
-
-    def sample(self, rng) -> tuple[int, np.ndarray]:
-        return self.mode, self.mean + self.std * rng.standard_normal(self.mean.size)
 
 
 # ---------------------------------------------------------------------------
@@ -462,32 +457,26 @@ class _BatchRecorder:
         vals[term_sel] = [phi.terminal_value(names[t]) for t in terminals[term_sel]]
         return vals
 
-    def record_slot(self, orig_idx, modes, positions, terminals, intL_vals, jsum_vals):
-        """Fill the next output slot of the given (original) paths."""
-        slots = self.out_pos[orig_idx]
-        self.mode_at[slots, orig_idx] = modes
-        self.pos_at[slots, orig_idx] = positions
-        self.term_at[slots, orig_idx] = terminals
-        for k in range(len(self.phis)):
-            self.phi_t[k, slots, orig_idx] = self.phi_value(k, modes, positions, terminals)
-            self.intL_at[k, slots, orig_idx] = intL_vals[k]
-            self.jsum_at[k, slots, orig_idx] = jsum_vals[k]
-        self.out_pos[orig_idx] += 1
+    def record(self, orig_idx, modes, positions, terminals, intL_vals, jsum_vals, to_end=False):
+        """Fill the next output slot of the given (original) paths.
 
-    def record_until_end(self, orig_idx, modes, positions, terminals, intL_vals, jsum_vals):
-        """Dead paths keep their state for every remaining output time."""
-        while True:
-            pending = self.out_pos[orig_idx] < self.n_out
-            if not np.any(pending):
-                break
-            self.record_slot(
-                orig_idx[pending],
-                modes[pending],
-                positions[pending],
-                terminals[pending],
-                intL_vals[:, pending] if len(self.phis) else intL_vals,
-                jsum_vals[:, pending] if len(self.phis) else jsum_vals,
-            )
+        With to_end, fill every remaining slot instead: dead paths keep their
+        state for every remaining output time.
+        """
+        first = self.out_pos[orig_idx]
+        counts = self.n_out - first if to_end else np.ones_like(first)
+        # one entry per (path, slot): path i fills slots first[i] .. first[i] + counts[i] - 1
+        rows = np.repeat(np.arange(first.size), counts)
+        slots = np.arange(rows.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        cols = orig_idx[rows]
+        self.mode_at[slots, cols] = modes[rows]
+        self.pos_at[slots, cols] = positions[rows]
+        self.term_at[slots, cols] = terminals[rows]
+        for k in range(len(self.phis)):
+            self.phi_t[k, slots, cols] = self.phi_value(k, modes, positions, terminals)[rows]
+            self.intL_at[k, slots, cols] = intL_vals[k][rows]
+            self.jsum_at[k, slots, cols] = jsum_vals[k][rows]
+        self.out_pos[orig_idx] = first + counts
 
 
 def _check_time_grid(horizon: float, dt: float):
@@ -618,22 +607,26 @@ def _run_batch(
     kernel = _make_kernel(model)
     n_phi = len(test_functions)
 
+    # a path's initial-law normals and its first noise chunk come from one
+    # draw call; split draws concatenate, so the stream layout is unchanged
+    gaussian = isinstance(initial_law, GaussianInitial)
+    n_init = initial_law.mean.size if gaussian else 0
+    draws = np.empty((batch, n_init + _CHUNK_STEPS * d))
+    for i, gen in enumerate(gens):
+        gen.standard_normal(out=draws[i])
+    buf = draws[:, n_init:]  # noise chunk, indexed by original position
+    cursor = 0
+
     # path state per row; a dead row has a negative mode until it is compacted away
     orig = np.arange(batch, dtype=np.int64)
-    mode = np.empty(batch, dtype=np.int64)
+    mode = np.full(batch, initial_law.mode, dtype=np.int64)
     pos = np.zeros((batch, d))
-    if isinstance(initial_law, PointMass):
-        mode[:] = initial_law.mode
-        pos[:] = initial_law.position
+    if gaussian:
+        pos[:] = initial_law.mean + initial_law.std * draws[:, :n_init]
     else:
-        for i, gen in enumerate(gens):
-            q0, x0 = initial_law.sample(gen)
-            mode[i] = q0
-            pos[i] = x0
-    for q in np.unique(mode):
-        inside = model.modes[int(q)].domain.contains(pos[mode == q])
-        if not np.all(inside):
-            raise SimulationError(f"initial law produced points outside mode {q}")
+        pos[:] = initial_law.position
+    if not np.all(model.modes[initial_law.mode].domain.contains(pos)):
+        raise SimulationError(f"initial law produced points outside mode {initial_law.mode}")
     kernel.attach(mode)
 
     t = np.zeros(batch)
@@ -647,7 +640,7 @@ def _run_batch(
     for k in range(n_phi):
         rec.phi0[k] = rec.phi_value(k, mode, pos, term)
     if out_of_cp[0] >= 0:
-        rec.record_slot(orig, mode, pos, term, intL, jsum)
+        rec.record(orig, mode, pos, term, intL, jsum)
 
     traj_jumps: list = []
     traj_modes = None
@@ -658,9 +651,10 @@ def _run_batch(
         traj_modes[0] = mode
         traj_positions[0] = pos
 
-    buf = np.empty((batch, _CHUNK_STEPS * d))  # indexed by original position
-    cursor = buf.shape[1]  # force a fill on first use
     n_cp = len(checkpoints)
+    # checkpoints where an arrival does work: output times and the horizon
+    is_stop = out_of_cp >= 0
+    is_stop[-1] = True
     n_dead = 0
 
     while n_dead < orig.size:
@@ -727,8 +721,6 @@ def _run_batch(
                     mode[rows] = post_mode
                     pos[rows] = post_pos
                     term[rows] = post_term
-                    live = post_mode >= 0
-                    kernel.update_rows(rows[live], post_mode[live])
                     for k, phi in enumerate(test_functions):
                         jsum[k, rows] += (
                             rec.phi_value(k, post_mode, post_pos, post_term) - phi.evaluate(q, pts)
@@ -739,32 +731,36 @@ def _run_batch(
                             traj_jumps.append(JumpEvent(tau_j, q, f, pts[j].copy(), post))
 
             # zeno guard: flag paths that exhausted their jump budget
-            over = crossed[(jumps[crossed] >= zeno_cap) & (mode[crossed] >= 0)]
-            if over.size:
-                mode[over] = _MODE_ZENO
+            post = mode[crossed]
+            post[(jumps[crossed] >= zeno_cap) & (post >= 0)] = _MODE_ZENO
+            mode[crossed] = post
+            live = post >= 0
 
-            newly_dead = crossed[mode[crossed] < 0]
+            newly_dead = crossed[~live]
             if newly_dead.size:
-                rec.record_until_end(
-                    orig[newly_dead], mode[newly_dead], pos[newly_dead], term[newly_dead],
-                    intL[:, newly_dead], jsum[:, newly_dead],
+                rec.record(
+                    orig[newly_dead], post[~live], pos[newly_dead], term[newly_dead],
+                    intL[:, newly_dead], jsum[:, newly_dead], to_end=True,
                 )
                 n_dead += newly_dead.size
 
-            # a jump landing on (or an ulp past) a checkpoint arrives there
-            live_hits = crossed[mode[crossed] >= 0]
-            resync = live_hits[t[live_hits] >= checkpoints[next_cp[live_hits]]]
-            if resync.size:
-                t[resync] = checkpoints[next_cp[resync]]
-                next_cp[resync] += 1
+            live_hits = crossed[live]
+            if live_hits.size:
+                kernel.update_rows(live_hits, post[live])
+                # a jump landing on (or an ulp past) a checkpoint arrives there
+                resync = live_hits[t[live_hits] >= checkpoints[next_cp[live_hits]]]
+                if resync.size:
+                    t[resync] = checkpoints[next_cp[resync]]
+                    next_cp[resync] += 1
 
-        # checkpoint arrivals: every non-crossing live path, plus resyncs
-        arr_mask = mode >= 0
-        if crossed.size:
-            arr_mask[crossed] = False
-            arr_mask[resync] = True
-        arrivals = np.flatnonzero(arr_mask)
-        if arrivals.size:
+        # checkpoint arrivals: every non-crossing live path, plus resyncs; an
+        # arrival at index next_cp - 1 only does work at a stop checkpoint
+        if record_trajectory or np.any(is_stop[next_cp.min() - 1 : next_cp.max()]):
+            arr_mask = mode >= 0
+            if crossed.size:
+                arr_mask[crossed] = False
+                arr_mask[resync] = True
+            arrivals = np.flatnonzero(arr_mask)
             arrived = next_cp[arrivals] - 1
             if record_trajectory:
                 traj_modes[arrived, orig[arrivals]] = mode[arrivals]
@@ -772,7 +768,7 @@ def _run_batch(
             slots = out_of_cp[arrived]
             with_out = arrivals[slots >= 0]
             if with_out.size:
-                rec.record_slot(
+                rec.record(
                     orig[with_out], mode[with_out], pos[with_out], term[with_out],
                     intL[:, with_out], jsum[:, with_out],
                 )

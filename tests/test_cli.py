@@ -78,6 +78,29 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match="base_seed"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["ensemble_size", "base_seed", "zeno_cap", "threads"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "two", 2.5, True])
+    def test_integer_keys_refuse_non_integers(self, tmp_path, key, value):
+        # int() raised ValueError on NaN and "two", OverflowError on Infinity,
+        # and truncated 2.5 to 2
+        path = write_config(tmp_path, {"scenario": "brownian_reset", key: value})
+        with pytest.raises(SchemaError, match=key):
+            load_config(path)
+
+    def test_integer_keys_keep_integers(self, tmp_path):
+        payload = {"scenario": "brownian_reset", "ensemble_size": 7, "base_seed": 2**40,
+                   "zeno_cap": 3, "threads": 2}
+        config = load_config(write_config(tmp_path, payload))
+        assert (config.ensemble_size, config.base_seed, config.zeno_cap, config.threads) == (
+            7, 2**40, 3, 2,
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, "0.1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, value):
+        path = write_config(tmp_path, {"scenario": "brownian_reset", "tolerances": {"l1": value}})
+        with pytest.raises(SchemaError, match="l1"):
+            load_config(path)
+
     def test_output_times_must_fit_horizon(self, tmp_path):
         path = write_config(
             tmp_path, {"scenario": "brownian_reset", "horizon": 1.0, "output_times": [2.0]}

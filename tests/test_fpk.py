@@ -467,6 +467,40 @@ class TestEvolve:
         assert np.array_equal(out.p[0], density.p[0])
         assert out.t == density.t
 
+    @pytest.mark.parametrize(
+        "model, resolution, start, n_cells",
+        [
+            (thermostat_1d(), thermostat_resolution(0.005), (0, 20.0, 0.05), 1312),
+            (gamblers_ruin_model(), 50, (0, 0.3, 0.05), 50),
+        ],
+        ids=["thermostat_1d", "gamblers_ruin"],
+    )
+    def test_stacked_step_equals_separate_matvecs(self, model, resolution, start, n_cells):
+        # reference: B, dt T and dt L_h applied one at a time to the pre-step density
+        grid = build_grid(model, resolution)
+        density = point_density(grid, *start)
+        op = grid.forward_operator()
+        assert op.n_cells == n_cells
+        dt, n_steps = stable_dt(grid, 0.9), 2000
+        names = model.terminal_states
+
+        def matvec(triplets, p, n_rows, scale=None):
+            rows, cols, vals = triplets
+            vals = vals if scale is None else scale * vals
+            return np.bincount(rows, vals * p[cols], minlength=n_rows)
+
+        p = op.flatten(density.p)
+        q = np.zeros(len(names))
+        for _ in range(n_steps):
+            assert matvec(op.outflux, p, op.outflux_edge.size).min() >= 0.0   # never clamped
+            q += matvec(op.terminal, p, len(names), dt)
+            p += matvec(op.rate, p, n_cells, dt)
+        out = evolve(model, grid, density, dt, n_steps)
+        assert op.flatten(out.p).tobytes() == p.tobytes()
+        assert [out.q[name] for name in names] == q.tolist()
+        # mass left the start mode through a boundary: the B, T and reset rows all acted
+        assert np.sum(out.p[0]) * grid.mode_grids[0].cell_volume < 0.99
+
     def test_stability_violation_raises(self):
         model = brownian_interval()
         grid = build_grid(model, 100)
@@ -829,14 +863,17 @@ class TestForwardOperator:
         assert grid.forward_operator() is op
 
     def test_evolve_and_import_do_not_load_scipy(self):
+        # importing scipy.sparse costs about 23 MB of resident memory
         code = (
             "import sys, resetsde\n"
             "from resetsde.fpk import build_grid, evolve, project_density, stable_dt\n"
             "from resetsde.scenarios import gamblers_ruin_model\n"
+            "from resetsde.simulate import GaussianInitial, ensemble\n"
             "model = gamblers_ruin_model()\n"
             "grid = build_grid(model, 20)\n"
             "state = project_density(grid, [lambda x: 1.0 + 0.0 * x[..., 0]])\n"
             "evolve(model, grid, state, stable_dt(grid, 0.9), 5)\n"
+            "ensemble(model, GaussianInitial(0, [0.3], 0.01), 50, 0.1, 1e-2, [0.1], base_seed=1)\n"
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy loaded'\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -434,6 +434,85 @@ class TestEnsemble:
             for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
                 assert np.array_equal(getattr(base, name), getattr(other, name)), (batch_size, name)
 
+    @pytest.mark.parametrize("batch_size", [1, 17])
+    def test_dead_paths_fill_every_remaining_slot(self, batch_size):
+        # terminal values outside exp((0, 1)) tell a dead path's slots from a live one's
+        phi = TestFunction(
+            lambda q, pts: np.exp(pts[:, 0]),
+            lambda q, pts: 0.5 * np.exp(pts[:, 0]),
+            terminal_values={"left": -1.0, "right": -2.0},
+        )
+        # the last output interval is one step, so some paths die at the final checkpoint
+        kwargs = dict(
+            initial_law=GaussianInitial(0, [0.3], 0.01),
+            n_paths=300,
+            horizon=0.2,
+            dt=1e-2,
+            output_times=[0.05, 0.123, 0.19, 0.2],
+            base_seed=4,
+            test_functions=[phi],
+        )
+        base = ensemble(gamblers_ruin_model(), **kwargs).dynkin[0]
+        assert np.all((base.phi_t < 0.0) | (base.phi_t > 1.0))   # no slot left at its zero fill
+        dead = base.phi_t < 0.0
+        first = np.where(dead.any(axis=0), dead.argmax(axis=0), dead.shape[0])
+        assert np.all(dead == (np.arange(4)[:, None] >= first))   # dead paths stay dead
+        died_in = np.bincount(first, minlength=5)
+        assert np.all(died_in > 0), died_in   # before t1, between times, in the last step, never
+        for k in range(1, 4):
+            was_dead = dead[k - 1]
+            for name in ("phi_t", "int_generator", "jump_sum"):
+                values = getattr(base, name)
+                assert np.array_equal(values[k, was_dead], values[k - 1, was_dead]), (k, name)
+        assert np.all(base.jump_sum[dead] != 0.0) and np.all(base.alive)
+        other = ensemble(gamblers_ruin_model(), batch_size=batch_size, **kwargs).dynkin[0]
+        for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+            assert np.array_equal(getattr(base, name), getattr(other, name)), name
+
+    def test_off_grid_output_time_and_resets_on_checkpoints_independent_of_batch_size(self):
+        # x drifts at unit speed with no noise and dt = 1/8, so every x-face hit
+        # lands exactly on a checkpoint; y diffuses, and its faces absorb
+        mode = Mode(
+            box_domain([0.0, -0.5], [1.0, 0.5]),
+            VectorFieldSet(constant_field([1.0, 0.0]), (zero_field(2), constant_field([0.0, 0.3]))),
+        )
+        reinject = AffineMap([[0.0, 0.0], [0.0, 1.0]], [0.5, 0.0])
+        edges = [
+            ResetEdge(0, 0, TerminalTarget("out")),
+            ResetEdge(0, 1, SurfaceTarget(0, reinject)),
+            ResetEdge(0, 2, TerminalTarget("out")),
+            ResetEdge(0, 3, TerminalTarget("out")),
+        ]
+        model = build_model(ModelSpec(2, [mode], edges, terminal_states=["out"]))
+        phi = TestFunction(
+            lambda q, pts: pts[:, 0] + pts[:, 1] ** 2,
+            lambda q, pts: 1.0 + 0.09 + 0.0 * pts[:, 0],
+            terminal_values={"out": 5.0},
+        )
+        traj = simulate_path(model, PathState.in_mode(0, [0.5, 0.0]), 1.0, 0.125, rng_seed=3)
+        assert traj.jumps[0].time == 0.5
+        kwargs = dict(
+            initial_law=GaussianInitial(0, [0.5, 0.0], [0.0, 0.05]),
+            n_paths=200,
+            horizon=1.5,
+            dt=0.125,
+            output_times=[0.5, 0.8, 1.5],
+            base_seed=6,
+            test_functions=[phi],
+        )
+        base = ensemble(model, **kwargs)
+        assert 0 < base.terminal_counts[-1]["out"] < 200
+        assert np.any(base.dynkin[0].jump_sum[0] != 0.0)
+        for batch_size in (17, 1):
+            other = ensemble(model, batch_size=batch_size, **kwargs)
+            for k in range(3):
+                assert base.mode_clouds[k][0].tobytes() == other.mode_clouds[k][0].tobytes()
+                assert base.terminal_counts[k] == other.terminal_counts[k]
+            for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+                assert np.array_equal(
+                    getattr(base.dynkin[0], name), getattr(other.dynkin[0], name)
+                ), (batch_size, name)
+
     def test_noise_memory_scales_with_the_steps_drawn(self):
         # five steps per path; a buffer of 512 normals per path alone took 82 MB
         tracemalloc.start()
