@@ -115,6 +115,13 @@ def _integer(raw: dict, key: str, default, minimum: int):
     return value
 
 
+def _number(value, what: str) -> float:
+    """A finite real config value; bools, strings, null, lists, NaN and Infinity are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     text = Path(path).read_text()
@@ -146,13 +153,13 @@ def load_config(path) -> RunConfig:
     if method not in ("mc", "pde", "both"):
         raise SchemaError(f"method must be mc, pde or both, got {method!r}")
 
-    horizon = float(raw.get("horizon", 1.0))
-    if not 0 < horizon < math.inf:
+    horizon = _number(raw.get("horizon", 1.0), "horizon")
+    if not horizon > 0:
         raise SchemaError("horizon must be positive and finite")
-    dt = float(raw.get("dt", 1e-3))
-    if not 0 < dt < math.inf:
+    dt = _number(raw.get("dt", 1e-3), "dt")
+    if not dt > 0:
         raise SchemaError("dt must be positive and finite")
-    pde_fraction = float(raw.get("pde_dt_fraction", 0.9))
+    pde_fraction = _number(raw.get("pde_dt_fraction", 0.9), "pde_dt_fraction")
     if not 0 < pde_fraction <= 1.0:
         raise SchemaError("pde_dt_fraction must lie in (0, 1]")
 
@@ -161,7 +168,10 @@ def load_config(path) -> RunConfig:
         if not isinstance(resolution, int) or resolution < 4:
             raise SchemaError("resolution must be an integer >= 4")
 
-    output_times = [float(v) for v in raw.get("output_times", [horizon])]
+    output_times = raw.get("output_times", [horizon])
+    if not isinstance(output_times, list):
+        raise SchemaError(f"output_times must be a list of numbers, got {output_times!r}")
+    output_times = [_number(v, "an output_times entry") for v in output_times]
     if not output_times or not all(0 <= t <= horizon for t in output_times):
         raise SchemaError("output_times must be a nonempty subset of [0, horizon]")
     if len(set(output_times)) < len(output_times):

@@ -2,22 +2,23 @@
 
 The density evolves in flux form: per cell, dp/dt is the negative divergence
 of the probability current J = p A0 - 1/2 sum_r div(p A_r) A_r, assembled
-from face-normal flux values.  Reset-image faces inside a mode act as walls
-for this operator (the current is discontinuous there and both one-sided
-values are kept for diagnostics); the mass that leaves through a source
-boundary face re-enters as a point source in the cell next to its image
-face, so total mass is conserved structurally rather than asymptotically.
+from face-normal flux values.  A reset-image face is an ordinary face of this
+operator, so the density is continuous across it; the mass that leaves
+through a source boundary face re-enters half in each of the two cells beside
+its image face, which makes the current jump there by h times the source
+outflux, and total mass is conserved structurally rather than asymptotically.
 Terminal states accumulate the outflux of their boundary faces.
 
 The whole update is linear, so each grid assembles it once, on first use, as
 one sparse forward operator (`GridLayout.forward_operator`): face currents F,
 boundary outflux B (the boundary rows of F, signed outward), the routing R
-of each boundary face's outflux to its edge cell and its injection cell or
-terminal, cell rates L_h = div F + R B and terminal rates T.  It is the
-only implementation of the update: `evolve` is a numpy matvec per step,
-clamping a negative boundary outflux through R; `stationary_density` is a
-sparse LU solve and the only place that loads scipy;
-`validate.flux_continuity_residual` reads B p and the one-sided rows of F p.
+of each boundary face's outflux to its edge cell and the two cells beside
+its image face or its terminal, cell rates L_h = div F + R B and terminal
+rates T.  It is the only implementation of the update: `evolve` is a numpy
+matvec per step, clamping a negative boundary outflux through R;
+`stationary_density` is a sparse LU solve and the only place that loads
+scipy; `validate.flux_continuity_residual` reads B p and the one-sided rows
+of F p.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class UnsupportedDomain(SolverError):
 
 class CharacteristicFacePresent(SolverError):
     """The solver refuses models with characteristic boundary faces."""
-
-
-class AmbiguousInflowSide(SolverError):
-    """Neither drift nor the mapped source normal orients the injection."""
 
 
 class StabilityViolation(SolverError):
@@ -124,12 +121,9 @@ class TransferTable:
     target_mode: int
     h_axis: int
     h_face_index: int                  # grid face index along h_axis
-    src_tangential: np.ndarray | None  # (m,) source cell indices along the face, None in 1D
-    tgt_tangential: np.ndarray | None  # (m,) paired target cell indices, None in 1D
-    inject_k_index: np.ndarray         # (m,) cell index along h_axis receiving the source
+    tgt_tangential: np.ndarray | None  # (m,) target cells paired with the source faces, None in 1D
     h: float
     source_area: float
-    target_area: float
 
 
 @dataclass(frozen=True)
@@ -155,14 +149,6 @@ class GridLayout:
     @property
     def dimension(self) -> int:
         return self.model.dimension
-
-    def h_faces(self, mode: int, axis: int):
-        """[(face_index, tangential_indices), ...] of reset-image faces."""
-        out = []
-        for tab in self.surface_tables:
-            if tab.target_mode == mode and tab.h_axis == axis:
-                out.append((tab.h_face_index, tab.tgt_tangential))
-        return out
 
     def stencil_cache(self, mode: int) -> dict:
         if mode not in self._caches:
@@ -219,9 +205,7 @@ def build_grid(model: HybridModel, resolution) -> GridLayout:
                 TerminalTable(edge.index, edge.source_mode, axis, side, edge.target.terminal)
             )
         else:
-            surface_tables.append(
-                _transfer_table(model, mode_grids, edge, axis, side)
-            )
+            surface_tables.append(_transfer_table(mode_grids, edge, axis, side))
 
     return GridLayout(
         model=model,
@@ -296,19 +280,17 @@ def _face_index_of(coord, lo, dx, n, what):
     return j
 
 
-def _transfer_table(model, mode_grids, edge, axis, side):
-    d = model.dimension
+def _transfer_table(mode_grids, edge, axis, side):
     tgt_mode = edge.target.mode
     amap = edge.target.map
     src_grid = mode_grids[edge.source_mode]
     tgt_grid = mode_grids[tgt_mode]
     src_coord = src_grid.lo[axis] if side == 0 else src_grid.hi[axis]
 
-    if d == 1:
+    if src_grid.dimension == 1:
         image = amap(np.array([src_coord]))
         h_axis = 0
         c_h = float(image[0])
-        src_tang = None
         tgt_tang = None
     else:
         tang_axis = 1 - axis
@@ -355,7 +337,6 @@ def _transfer_table(model, mode_grids, edge, axis, side):
                 f"edge {edge.index}: source and target resolutions are not "
                 "face-bijective under the reset map"
             )
-        src_tang = np.arange(n_src)
         tgt_tang = np.minimum(jt[:-1], jt[1:])
 
     n_h = tgt_grid.shape[h_axis]
@@ -365,7 +346,7 @@ def _transfer_table(model, mode_grids, edge, axis, side):
     if j_h < 2 or j_h > n_h - 2:
         raise MisalignedH(
             f"edge {edge.index}: image face {j_h} is too close to the target "
-            "boundary for one-sided stencils at this resolution"
+            "boundary for the one-sided fluxes at this resolution"
         )
 
     src_area = src_grid.face_area(axis)
@@ -377,7 +358,6 @@ def _transfer_table(model, mode_grids, edge, axis, side):
             f"factor (source {src_area} * h {h} != target {tgt_area})"
         )
 
-    inject = _injection_side(model, tgt_grid, tgt_mode, edge, h_axis, j_h, tgt_tang)
     return TransferTable(
         edge_index=edge.index,
         source_mode=edge.source_mode,
@@ -386,45 +366,10 @@ def _transfer_table(model, mode_grids, edge, axis, side):
         target_mode=tgt_mode,
         h_axis=h_axis,
         h_face_index=j_h,
-        src_tangential=src_tang,
         tgt_tangential=tgt_tang,
-        inject_k_index=inject,
         h=h,
         source_area=src_area,
-        target_area=tgt_area,
     )
-
-
-def _injection_side(model, tgt_grid, tgt_mode, edge, h_axis, j_h, tgt_tang):
-    """Pick the cell receiving each face's source: the side mass flows into.
-
-    The target-mode Ito drift at the face center decides; if it is tangential
-    there, the image of the source outward normal under the reset map breaks
-    the tie.
-    """
-    if tgt_tang is None:
-        centers = np.array([[tgt_grid.lo[0] + j_h * tgt_grid.dx[0]]])
-    else:
-        face_coord = tgt_grid.lo[h_axis] + j_h * tgt_grid.dx[h_axis]
-        tang_axis = 1 - h_axis
-        tang_centers = tgt_grid.lo[tang_axis] + (tgt_tang + 0.5) * tgt_grid.dx[tang_axis]
-        centers = np.zeros((tang_centers.size, 2))
-        centers[:, h_axis] = face_coord
-        centers[:, tang_axis] = tang_centers
-    b, _ = ito_coefficients(model, tgt_mode, centers)
-    normal_drift = b[:, h_axis]
-    scale = max(float(np.max(np.abs(b))), 1e-300)
-    sign = np.where(normal_drift > 1e-12 * scale, 1, np.where(normal_drift < -1e-12 * scale, -1, 0))
-    if np.any(sign == 0):
-        mapped = edge.target.map.matrix @ edge.source_normal
-        fallback = mapped[h_axis]
-        if abs(fallback) <= 1e-12 * max(1.0, float(np.max(np.abs(mapped)))):
-            raise AmbiguousInflowSide(
-                f"edge {edge.index}: neither the target drift nor the mapped "
-                "source normal orients the injection side"
-            )
-        sign = np.where(sign == 0, 1 if fallback > 0 else -1, sign)
-    return np.where(sign > 0, j_h, j_h - 1).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +496,17 @@ class ForwardOperator:
     Cells are numbered mode by mode in C order; mode q starts at
     `offsets[q]`.  `current` is F, with J.e_axis = F p on every face: first
     the faces of each mode and axis in C order, then for each reset edge the
-    lower- and upper-side limits on its image faces, whose rows are
-    `image_rows[edge]`; the central rows of image faces stay empty.  F is
-    not coalesced (`_matvec` sums duplicates).  `outflux` is B, the raw
-    outflux J.nu of every boundary face before any clamp, table by table,
-    with `outflux_edge` naming the reset edge of each row.  `routing` is R:
-    a unit of outflux leaves its edge cell and enters its injection cell or
-    its terminal (rows n_cells onward, in the model's terminal order).
-    `rate` is L_h = div F + R B over cells, where the divergence skips
-    boundary faces and treats image faces as walls, and `terminal` is T, the
+    one-sided currents below and above its image faces, whose rows are
+    `image_rows[edge]`.  F is not coalesced (`_matvec` sums duplicates).
+    `outflux` is B, the raw outflux J.nu of every boundary face before any
+    clamp, table by table, with `outflux_edge` naming the reset edge of each
+    row.  `routing` is R: a unit of outflux leaves its edge cell and enters
+    its terminal (rows n_cells onward, in the model's terminal order) or,
+    half in each, the two cells beside its image face.  `rate` is
+    L_h = div F + R B over cells, where the divergence skips boundary faces
+    and image faces are ordinary inner faces, and `terminal` is T, the
     terminal rows of R B.  Each face coefficient enters its two cells, or
-    its source cell and its injection cell or terminal, with opposite signs,
+    its source cell and its target cells or terminal, with opposite signs,
     so the volume-weighted column sums of [L_h; T] vanish up to rounding.
     """
 
@@ -627,19 +572,15 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
         for axis in range(d):
             n = mg.shape[axis]
             face_shape = tuple(s + (k == axis) for k, s in enumerate(mg.shape))
-            wall = np.zeros(face_shape, dtype=bool)
-            for j_h, tang in grid.h_faces(q, axis):
-                wall[_index(axis, j_h, tang)] = True
             face, cell, w = _face_current_terms(mg, cache, axis)
-            keep = ~wall.reshape(-1)[face]
             col = offsets[q] + cell
-            current.append((n_faces + face[keep], col[keep], w[keep]))
+            current.append((n_faces + face, col, w))
             fidx = np.unravel_index(face, face_shape)
             fk = fidx[axis]
             ft = fidx[1 - axis] if d == 2 else np.zeros_like(fk)
             coef = w * (mg.face_area(axis) / mg.cell_volume)
             # what crosses an inner face leaves its lower cell and enters its upper one
-            inner = keep & (fk >= 1) & (fk < n)
+            inner = (fk >= 1) & (fk < n)
             for k_cell, sign in ((fk - 1, -1.0), (fk, 1.0)):
                 ridx = _index(axis, k_cell[inner], ft[inner] if d == 2 else None)
                 rows = offsets[q] + np.ravel_multi_index(ridx, mg.shape)
@@ -669,9 +610,11 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
         routing.append((cells, src, np.full(src.size, -mg.face_area(axis) / mg.cell_volume)))
         if isinstance(tab, TransferTable):
             tg = grid.mode_grids[tab.target_mode]
-            tidx = _index(tab.h_axis, tab.inject_k_index, tab.tgt_tangential)
-            cells = offsets[tab.target_mode] + np.ravel_multi_index(tidx, tg.shape)
-            routing.append((cells, src, np.full(src.size, tab.source_area / tg.cell_volume)))
+            share = np.full(src.size, 0.5 * tab.source_area / tg.cell_volume)
+            for k_cell in (tab.h_face_index - 1, tab.h_face_index):
+                tidx = _index(tab.h_axis, np.full(src.size, k_cell), tab.tgt_tangential)
+                cells = offsets[tab.target_mode] + np.ravel_multi_index(tidx, tg.shape)
+                routing.append((cells, src, share))
         else:
             rows = np.full(src.size, terminal_row[tab.terminal])
             routing.append((rows, src, np.full(src.size, mg.face_area(axis))))
@@ -755,39 +698,51 @@ def _face_current_terms(mg: ModeGrid, cache: dict, axis: int):
 
 
 def _one_sided_terms(mg: ModeGrid, cache: dict, tab: TransferTable):
-    """(row, cell, weight) of the one-sided current limits on an image face.
+    """(row, cell, weight) of the one-sided currents beside an image face H.
 
-    Rows 0..m-1 hold the lower-side limit and rows m..2m-1 the upper one,
-    each from the two cells on its side only: the face value and the normal
-    difference extrapolated linearly, and in 2D the centred tangential
-    difference along the adjacent cell column, ghosted at its ends.
+    Rows 0..m-1 hold the current on the face below H and rows m..2m-1 the
+    one on the face above it (faces j_h - 1 and j_h + 1), so neither sees the
+    jump at H.  Each is the exponentially fitted flux of the two cells beside
+    its face (Scharfetter & Gummel 1969), J = (D/dx) (B(-Pe) p_lo - B(Pe) p_hi)
+    with B(x) = x / expm1(x), D = 1/2 sum_r A_r.e_k^2, Pe = v dx / D and v
+    the drift less 1/2 sum_r A_r.e_k d_k A_r.e_k.  It is exact for a constant
+    current under constant coefficients, so the boundary layer behind H does
+    not spoil it.  In 2D the centred tangential difference along the cell
+    column next to H is added, ghosted at its ends.
     """
     k, t = tab.h_axis, tab.tgt_tangential
-    at_face = _index(k, tab.h_face_index, t)
+    dx = mg.dx[k]
     m = 1 if t is None else t.size
     jh = np.full(m, tab.h_face_index)
     rows = np.arange(2 * m)
     tt = None if t is None else np.tile(t, 2)
-    # per side, the cell next to the face and the one beyond it
-    near, far = np.concatenate([jh - 1, jh]), np.concatenate([jh - 2, jh + 1])
-    terms = []
-
-    def emit(coef, ik, it, sample=None):
-        terms.append(_stencil_term(mg, k, rows, np.tile(coef, 2), ik, it, sample))
-
-    a0 = cache[("A0f", k)][at_face]
-    emit(1.5 * a0, near, tt)
-    emit(-0.5 * a0, far, tt)
+    fk = np.concatenate([jh - 1, jh + 1])
+    at, lo = _index(k, fk, tt), _index(k, fk - 1, tt)
+    v = cache[("A0f", k)][at]
+    d = np.zeros(2 * m)
     for a_cell, a_face in zip(cache["A_cell"], cache[("Af", k)]):
-        c = -0.5 * a_face[at_face]
-        # the normal difference runs upward on both sides
-        emit(c / mg.dx[k], np.maximum(near, far), tt, a_cell[..., k])
-        emit(-c / mg.dx[k], np.minimum(near, far), tt, a_cell[..., k])
-        if mg.dimension == 2:
-            ct = 0.5 * c / mg.dx[1 - k]
-            emit(ct, near, tt + 1, a_cell[..., 1 - k])
-            emit(-ct, near, tt - 1, a_cell[..., 1 - k])
+        af = a_face[at]
+        d += 0.5 * af * af
+        # the face sits between cells fk - 1 and fk, so `at` also names the upper cell
+        v = v - 0.5 * af * (a_cell[..., k][at] - a_cell[..., k][lo]) / dx
+    terms = [
+        _stencil_term(mg, k, rows, _fitted(-v, d, dx), fk - 1, tt),
+        _stencil_term(mg, k, rows, -_fitted(v, d, dx), fk, tt),
+    ]
+    if mg.dimension == 2:
+        at_h = _index(k, tab.h_face_index, t)
+        near = np.concatenate([jh - 1, jh])
+        for a_cell, a_face in zip(cache["A_cell"], cache[("Af", k)]):
+            ct = np.tile(-0.25 * a_face[at_h] / mg.dx[1 - k], 2)
+            terms.append(_stencil_term(mg, k, rows, ct, near, tt + 1, a_cell[..., 1 - k]))
+            terms.append(_stencil_term(mg, k, rows, -ct, near, tt - 1, a_cell[..., 1 - k]))
     return _join(terms)
+
+
+def _fitted(v, d, dx):
+    """(d/dx) B(v dx / d) with B(x) = x / expm1(x), B(0) = 1; max(-v, 0) where d = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(v == 0.0, d / dx, v / np.expm1(v * dx / d))
 
 
 def _join(parts):
@@ -919,103 +874,41 @@ def _check_outflux(op: ForwardOperator, p: np.ndarray, raw: np.ndarray):
         )
 
 
-def _stationary_support(grid: GridLayout):
-    """Cells reachable from the injection cells without crossing image-face walls.
-
-    Regions cut off by walls only drain, so the dynamics-reachable stationary
-    profile vanishes there; pinning them removes the spurious zero-current
-    equilibria from the nullspace solve.  Returns None when the model has no
-    surface targets (nothing recurrent to reach).
-    """
-    if not grid.surface_tables:
-        return None
-    walls = set()
-    seeds = []
-    for tab in grid.surface_tables:
-        if tab.tgt_tangential is None:
-            walls.add((tab.target_mode, tab.h_axis, tab.h_face_index, None))
-            seeds.append((tab.target_mode, (int(tab.inject_k_index[0]),)))
-        else:
-            for jt, jk in zip(tab.tgt_tangential, tab.inject_k_index):
-                walls.add((tab.target_mode, tab.h_axis, tab.h_face_index, int(jt)))
-                idx = [0, 0]
-                idx[tab.h_axis] = int(jk)
-                idx[1 - tab.h_axis] = int(jt)
-                seeds.append((tab.target_mode, tuple(idx)))
-
-    masks = [np.zeros(mg.shape, dtype=bool) for mg in grid.mode_grids]
-    stack = []
-    for q, cell in seeds:
-        if not masks[q][cell]:
-            masks[q][cell] = True
-            stack.append((q, cell))
-    while stack:
-        q, cell = stack.pop()
-        mg = grid.mode_grids[q]
-        for axis in range(mg.dimension):
-            for step in (-1, 1):
-                nb = list(cell)
-                nb[axis] += step
-                if not (0 <= nb[axis] < mg.shape[axis]):
-                    continue
-                face_idx = cell[axis] + (1 if step > 0 else 0)
-                tang = None if mg.dimension == 1 else cell[1 - axis]
-                if (q, axis, face_idx, tang) in walls:
-                    continue
-                nb = tuple(nb)
-                if not masks[q][nb]:
-                    masks[q][nb] = True
-                    stack.append((q, nb))
-    return masks
-
-
 def stationary_density(model: HybridModel, grid: GridLayout) -> DensityState:
     """Stationary mode densities by a sparse direct solve.
 
     The one-step update is linear in the density (the outflux clamp is
     inactive on nonnegative inputs), so the stationary profile solves
-    L_h p = 0 for the assembled operator, restricted to the reset-fed support
-    (regions behind image-face walls only drain and are pinned to zero).  The
-    last equation, redundant when no terminal drains the support, is replaced
-    by unit mass and the system is solved by sparse LU.  Tiny negative
-    entries from the solve are clipped and renormalised.  scipy is imported
-    here, so only callers of this function load it.
+    L_h p = 0 for the assembled operator on all cells.  The equation of one
+    cell, redundant when no terminal drains the model, is replaced by p = 1
+    there: the reset-fed cell above the first image face, or the last cell
+    when the model has no image face.  The system is solved by sparse LU, tiny
+    negative entries are clipped, and the profile is normalised to unit
+    mass.  scipy is imported here, so only callers of this function load it.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
     op = grid.forward_operator()
     n = op.n_cells
+    pin = n - 1
+    if grid.surface_tables:
+        tab = grid.surface_tables[0]
+        tang = None if tab.tgt_tangential is None else tab.tgt_tangential[0]
+        idx = _index(tab.h_axis, tab.h_face_index, tang)
+        pin = op.offsets[tab.target_mode] + np.ravel_multi_index(idx, grid.mode_grids[tab.target_mode].shape)
+    rows, cols, vals = op.rate
+    sel = rows != pin
+    matrix = csc_matrix(
+        (np.append(vals[sel], 1.0), (np.append(rows[sel], pin), np.append(cols[sel], pin))),
+        shape=(n, n),
+    )
+    rhs = np.zeros(n)
+    rhs[pin] = 1.0
+    solution = np.maximum(splu(matrix).solve(rhs), 0.0)
     vol = np.concatenate(
         [np.full(int(np.prod(mg.shape)), mg.cell_volume) for mg in grid.mode_grids]
     )
-    support = _stationary_support(grid)
-    if support is None:
-        keep = np.ones(n, dtype=bool)
-    else:
-        keep = np.concatenate([m.reshape(-1) for m in support])
-    keep_idx = np.flatnonzero(keep)
-    m = keep_idx.size
-    pos = np.full(n, m)
-    pos[keep_idx] = np.arange(m)
-
-    rows, cols, vals = op.rate
-    sel = (pos[rows] < m - 1) & keep[cols]
-    matrix = csc_matrix(
-        (
-            np.concatenate([vals[sel], vol[keep_idx]]),
-            (
-                np.concatenate([pos[rows[sel]], np.full(m, m - 1)]),
-                np.concatenate([pos[cols[sel]], np.arange(m)]),
-            ),
-        ),
-        shape=(m, m),
-    )
-    rhs = np.zeros(m)
-    rhs[-1] = 1.0
-    packed = splu(matrix).solve(rhs)
-    solution = np.zeros(n)
-    solution[keep_idx] = np.maximum(packed, 0.0)
     solution /= float(solution @ vol)
     return DensityState(op.split(solution), {name: 0.0 for name in model.terminal_states}, 0.0)
 

@@ -122,9 +122,6 @@ class EmpiricalMeasure:
             raise KeyError(f"time {t} is not an output time of this measure")
         return idx
 
-    def mode_weight(self, t: float, mode: int) -> int:
-        return self.mode_clouds[self.time_index(t)][mode].shape[0]
-
     def terminal_fraction(self, t: float, terminal: str) -> float:
         return self.terminal_counts[self.time_index(t)].get(terminal, 0) / self.size
 

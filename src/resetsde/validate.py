@@ -373,9 +373,11 @@ def compare_mc_pde(grid: GridLayout, measure: EmpiricalMeasure, density: Density
 def flux_continuity_residual(model: HybridModel, grid: GridLayout, density: DensityState) -> float:
     """max over paired faces of |J_out - h * (J_in o Phi)| in discrete terms.
 
-    J_in on an image face is the orientation-free emission (J_side2 -
-    J_side1) . nu from the one-sided rows of the forward operator's face
-    currents; J_out is the raw outflux of the paired source face.
+    The interface condition: the density is continuous across the image
+    face and the current jumps there by h times the paired source outflux.
+    J_in is that jump, the upper minus the lower one-sided row of the forward
+    operator's face currents (exponentially fitted fluxes on the faces next
+    to the image face); J_out is the raw outflux of the paired source face.
     """
     op = grid.forward_operator()
     flat = op.flatten(density.p)

@@ -43,6 +43,28 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match=key):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["horizon", "dt", "pde_dt_fraction"])
+    @pytest.mark.parametrize(
+        "value", ["fast", None, True, [0.5], float("nan"), float("inf"), 10**400],
+        ids=["string", "null", "bool", "list", "nan", "inf", "huge"],
+    )
+    def test_number_keys_refuse_non_numbers(self, tmp_path, key, value):
+        # float() raised ValueError on "fast" and TypeError on null, and read
+        # true as 1.0
+        path = write_config(tmp_path, {"scenario": "brownian_reset", key: value})
+        with pytest.raises(SchemaError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "value", ["0.5", 0.5, None, ["0.5"], [None], [True], [[0.5]]],
+        ids=["string", "number", "null", "string-entry", "null-entry", "bool-entry", "list-entry"],
+    )
+    def test_output_times_must_be_a_list_of_numbers(self, tmp_path, value):
+        # a string was iterated character by character
+        path = write_config(tmp_path, {"scenario": "brownian_reset", "output_times": value})
+        with pytest.raises(SchemaError, match="output_times"):
+            load_config(path)
+
     def test_nan_output_time_rejected(self, tmp_path):
         path = write_config(
             tmp_path, {"scenario": "brownian_reset", "output_times": [float("nan")]}

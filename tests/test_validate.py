@@ -333,8 +333,10 @@ class TestFluxContinuity:
         assert flux_continuity_residual(model, grid, density) == 0.0
 
     def test_violating_density_has_large_residual(self):
+        # the stationary residual is the one-sided fluxes' own error, second
+        # order in dx: 6.4e-2 at dx = 0.01 and 2.6e-2 at dx = 0.005
         model = thermostat_model()
-        grid = build_grid(model, thermostat_resolution(PARAMS, 0.01))
+        grid = build_grid(model, thermostat_resolution(PARAMS, 0.005))
         stationary = stationary_density(model, grid)
         base = flux_continuity_residual(model, grid, stationary)
         # independent per-mode bumps ignore the coupling entirely
