@@ -3,7 +3,7 @@
 One JSON document describes a run: a named scenario (or an inline affine
 model), the method (mc / pde / both), discretization controls, and output
 destinations.  Identical configurations with identical seeds reproduce every
-output file byte for byte, for any thread count.
+output file byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from resetsde.model import (
     box_domain,
     build_model,
 )
-from resetsde.scenarios import SCENARIOS, load_scenario
+from resetsde.scenarios import SCENARIOS, ScenarioError, load_scenario
 from resetsde.simulate import GaussianInitial, ensemble
 from resetsde.validate import ValidationReport, compare_mc_pde, flux_continuity_residual, mass_balance
 
@@ -59,7 +59,7 @@ _TOP_LEVEL_KEYS = {
     "ensemble_size": "number of Monte-Carlo paths (default 10000)",
     "base_seed": "master seed for per-path streams (default 0)",
     "zeno_cap": "max jumps per path (default 10^4 per unit horizon)",
-    "threads": "worker threads for the ensemble (default 1)",
+    "threads": "accepted and ignored (an integer >= 1); ensembles run in one thread",
     "output_dir": "directory for artifacts (default 'out')",
     "tolerances": "object {l1, terminal, mass} for the validation verdict",
 }
@@ -93,7 +93,6 @@ class RunConfig:
     ensemble_size: int
     base_seed: int
     zeno_cap: int | None
-    threads: int
     output_dir: str
     tolerances: dict = field(default_factory=dict)
 
@@ -122,8 +121,8 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+def load_config(path, overrides=None) -> RunConfig:
+    """Parse a JSON run configuration, merge `overrides` over it, and validate."""
     text = Path(path).read_text()
     try:
         raw = json.loads(text)
@@ -133,6 +132,7 @@ def load_config(path) -> RunConfig:
         ) from None
     if not isinstance(raw, dict):
         raise SchemaError("the configuration must be a JSON object")
+    raw.update(overrides or {})
 
     for key in raw:
         if key not in _TOP_LEVEL_KEYS:
@@ -180,7 +180,13 @@ def load_config(path) -> RunConfig:
     ensemble_size = _integer(raw, "ensemble_size", 10_000, 1 if method in ("mc", "both") else 0)
     base_seed = _integer(raw, "base_seed", 0, 0)
     zeno_cap = _integer(raw, "zeno_cap", None, 1)
-    threads = _integer(raw, "threads", 1, 1)
+    _integer(raw, "threads", 1, 1)
+    scenario_options = raw.get("scenario_options", {})
+    if not isinstance(scenario_options, dict):
+        raise SchemaError(f"scenario_options must be an object, got {scenario_options!r}")
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise SchemaError(f"output_dir must be a nonempty string, got {output_dir!r}")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     for key, value in raw.get("tolerances", {}).items():
@@ -192,7 +198,7 @@ def load_config(path) -> RunConfig:
 
     return RunConfig(
         scenario=scenario,
-        scenario_options=raw.get("scenario_options", {}),
+        scenario_options=scenario_options,
         inline_model=inline_model,
         inline_initial=raw.get("initial"),
         method=method,
@@ -204,14 +210,20 @@ def load_config(path) -> RunConfig:
         ensemble_size=ensemble_size,
         base_seed=base_seed,
         zeno_cap=zeno_cap,
-        threads=threads,
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=output_dir,
         tolerances=tolerances,
     )
 
 
 # ---------------------------------------------------------------------------
 # inline model parsing
+
+
+def _require(obj, key: str, what: str):
+    """obj[key] of an inline-model object, or a SchemaError naming what lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(f"{what} needs {key!r}")
+    return obj[key]
 
 
 def _affine_from(obj, what) -> AffineField:
@@ -238,20 +250,22 @@ def _parse_inline_model(doc: dict):
                 interior_point=mspec["interior_point"],
                 box=tuple(np.asarray(b, float) for b in mspec["box_hull"]) if "box_hull" in mspec else None,
             )
-        drift = _affine_from(mspec["drift"], f"mode {i} drift")
+        drift = _affine_from(_require(mspec, "drift", f"mode {i}"), f"mode {i} drift")
         diffusion = tuple(
-            _affine_from(a, f"mode {i} diffusion {r}") for r, a in enumerate(mspec["diffusion"])
+            _affine_from(a, f"mode {i} diffusion {r}")
+            for r, a in enumerate(_require(mspec, "diffusion", f"mode {i}"))
         )
         modes.append(Mode(domain, VectorFieldSet(drift, diffusion)))
 
     edges = []
     for j, espec in enumerate(doc.get("reset_edges", [])):
-        source_mode = int(espec["source_mode"])
-        source_face = int(espec["source_face"])
+        source_mode = int(_require(espec, "source_mode", f"reset edge {j}"))
+        source_face = int(_require(espec, "source_face", f"reset edge {j}"))
         if "terminal" in espec:
             target = TerminalTarget(str(espec["terminal"]))
         elif "target_mode" in espec:
-            amap = AffineMap(espec["map"]["matrix"], espec["map"]["offset"])
+            amap, what = _require(espec, "map", f"reset edge {j}"), f"reset edge {j} map"
+            amap = AffineMap(_require(amap, "matrix", what), _require(amap, "offset", what))
             target = SurfaceTarget(int(espec["target_mode"]), amap)
         else:
             raise SchemaError(f"reset edge {j} needs 'terminal' or 'target_mode'")
@@ -282,12 +296,15 @@ class _ProductGaussianCells:
 
 def _bundle_from_config(config: RunConfig) -> dict:
     if config.scenario is not None:
-        return load_scenario(config.scenario, config.scenario_options)
+        try:
+            return load_scenario(config.scenario, config.scenario_options)
+        except ScenarioError as exc:
+            raise SchemaError(f"scenario_options: {exc}") from None
     model = _parse_inline_model(config.inline_model)
-    init = config.inline_initial
-    law = GaussianInitial(int(init["mode"]), init["mean"], init["std"])
+    mode, mean, std = (_require(config.inline_initial, k, "initial") for k in ("mode", "mean", "std"))
+    law = GaussianInitial(int(mode), mean, std)
     cells = [None] * len(model.modes)
-    cells[int(init["mode"])] = _ProductGaussianCells(init["mean"], init["std"])
+    cells[int(mode)] = _ProductGaussianCells(mean, std)
     lo, hi = model.modes[0].domain.box
     span = float(hi[0] - lo[0])
     return {
@@ -421,7 +438,6 @@ def run(config: RunConfig) -> int:
             config.output_times,
             config.base_seed,
             zeno_cap=config.zeno_cap,
-            n_workers=config.threads,
         )
         _write_json(outdir / "mc_measure.json", _measure_payload(grid, measure))
         rows = []
@@ -506,7 +522,6 @@ def main(argv=None) -> int:
         cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
         cmd.add_argument("--resolution", type=int, default=None, help="override grid cells")
         cmd.add_argument("--dt", type=float, default=None, help="override the MC time step")
-        cmd.add_argument("--threads", type=int, default=None, help="override worker threads")
     sub.add_parser("schema", help="print the configuration schema")
 
     args = parser.parse_args(argv)
@@ -514,18 +529,12 @@ def main(argv=None) -> int:
         print(_schema_text())
         return 0
 
+    # flags enter the document before validation, so they meet the same checks
+    overrides = {"base_seed": args.seed, "resolution": args.resolution, "dt": args.dt}
+    if args.command == "validate":
+        overrides["method"] = "both"
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.base_seed = args.seed
-        if args.resolution is not None:
-            config.resolution = args.resolution
-        if args.dt is not None:
-            config.dt = args.dt
-        if args.threads is not None:
-            config.threads = args.threads
-        if args.command == "validate":
-            config.method = "both"
+        config = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         return run(config)
     except (ParseError, SchemaError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

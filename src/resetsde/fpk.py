@@ -141,7 +141,6 @@ class GridLayout:
 
     model: HybridModel
     mode_grids: tuple[ModeGrid, ...]
-    face_map: dict            # (mode, model_face) -> (axis, side)
     surface_tables: tuple[TransferTable, ...]
     terminal_tables: tuple[TerminalTable, ...]
     _caches: dict = field(default_factory=dict, repr=False)
@@ -195,10 +194,6 @@ def build_grid(model: HybridModel, resolution) -> GridLayout:
     surface_tables = []
     terminal_tables = []
     for edge in model.reset_edges:
-        if edge.patch is not None:
-            raise UnsupportedDomain(
-                f"edge {edge.index}: sub-patch sources are not supported on the PDE grid"
-            )
         axis, side = face_map[(edge.source_mode, edge.source_face)]
         if isinstance(edge.target, TerminalTarget):
             terminal_tables.append(
@@ -210,7 +205,6 @@ def build_grid(model: HybridModel, resolution) -> GridLayout:
     return GridLayout(
         model=model,
         mode_grids=tuple(mode_grids),
-        face_map=face_map,
         surface_tables=tuple(surface_tables),
         terminal_tables=tuple(terminal_tables),
     )

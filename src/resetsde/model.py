@@ -3,8 +3,7 @@
 A model is a finite collection of modes, each carrying a convex polyhedral
 domain and a set of Stratonovich vector fields, plus reset edges that map
 boundary faces either onto interior hypersurfaces of (possibly other) modes
-or onto isolated terminal states.  Models are immutable after `build_model`
-and safe to share across workers.
+or onto isolated terminal states.  Models are immutable after `build_model`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ class TargetOnBoundary(ModelError):
 
 
 class OverlappingSources(ModelError):
-    """Two reset edges claim overlapping source patches."""
+    """Two reset edges claim the same source face."""
 
 
 class MixedFace(ModelError):
@@ -308,17 +307,11 @@ class SurfaceTarget:
 
 @dataclass(frozen=True)
 class ResetEdge:
-    """Declarative reset edge: a source face patch and where it maps.
-
-    `patch` optionally restricts the source to an axis-aligned box on the
-    face; several edges may share a face only when all carry pairwise
-    disjoint patches.
-    """
+    """Declarative reset edge: a source face and where it maps; one edge per face."""
 
     source_mode: int
     source_face: int
     target: TerminalTarget | SurfaceTarget
-    patch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -329,17 +322,9 @@ class BoundEdge:
     source_mode: int
     source_face: int
     target: TerminalTarget | SurfaceTarget
-    patch: tuple[np.ndarray, np.ndarray] | None
     source_normal: np.ndarray
     source_offset: float
     jacobian_value: float
-
-    def in_patch(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.patch is None:
-            return np.ones(pts.shape[0], dtype=bool)
-        lo, hi = self.patch
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -366,10 +351,12 @@ class HybridModel:
     terminal_states: tuple[str, ...]
     reset_edges: tuple[BoundEdge, ...]
     characteristic_faces: frozenset
-    face_edges: dict = field(repr=False)
+    face_edges: dict = field(repr=False)   # (mode, face) -> index of its reset edge
 
-    def edges_for_face(self, mode: int, face: int) -> tuple[BoundEdge, ...]:
-        return tuple(self.reset_edges[i] for i in self.face_edges.get((mode, face), ()))
+    def edge_for_face(self, mode: int, face: int) -> BoundEdge:
+        if (mode, face) not in self.face_edges:
+            raise UnassignedFace(f"face ({mode}, {face}) has no reset edge")
+        return self.reset_edges[self.face_edges[(mode, face)]]
 
     def is_characteristic(self, mode: int, face: int) -> bool:
         return (mode, face) in self.characteristic_faces
@@ -400,7 +387,7 @@ def build_model(spec: ModelSpec) -> HybridModel:
     terminal_states = tuple(spec.terminal_states)
     characteristic = frozenset(tuple(fc) for fc in spec.characteristic_faces)
 
-    face_edges: dict[tuple[int, int], list[int]] = {}
+    face_edges: dict[tuple[int, int], int] = {}
     bound: list[BoundEdge] = []
     for i, edge in enumerate(spec.reset_edges):
         q, f = edge.source_mode, edge.source_face
@@ -408,20 +395,10 @@ def build_model(spec: ModelSpec) -> HybridModel:
             raise GeometryError(f"edge {i} references unknown face ({q}, {f})")
         if (q, f) in characteristic:
             raise ModelError(f"face ({q}, {f}) is both reset-covered and characteristic")
+        if (q, f) in face_edges:
+            raise OverlappingSources(f"edges {face_edges[(q, f)]} and {i} both leave face ({q}, {f})")
         bound.append(_bind_edge(i, edge, modes, terminal_states, d))
-        face_edges.setdefault((q, f), []).append(i)
-
-    for (q, f), idxs in face_edges.items():
-        if len(idxs) > 1:
-            edges = [bound[i] for i in idxs]
-            if any(e.patch is None for e in edges):
-                raise OverlappingSources(
-                    f"face ({q}, {f}) has {len(idxs)} edges but not all carry patches"
-                )
-            for a in range(len(edges)):
-                for b in range(a + 1, len(edges)):
-                    if _patches_intersect(edges[a].patch, edges[b].patch):
-                        raise OverlappingSources(f"edges on face ({q}, {f}) overlap")
+        face_edges[(q, f)] = i
 
     for q, mode in enumerate(modes):
         for f in range(mode.domain.n_faces):
@@ -436,7 +413,7 @@ def build_model(spec: ModelSpec) -> HybridModel:
         terminal_states=terminal_states,
         reset_edges=tuple(bound),
         characteristic_faces=characteristic,
-        face_edges={k: tuple(v) for k, v in face_edges.items()},
+        face_edges=face_edges,
     )
 
 
@@ -465,11 +442,6 @@ def _bind_edge(i, edge, modes, terminal_states, d) -> BoundEdge:
     src_domain = modes[edge.source_mode].domain
     normal = src_domain.normals[edge.source_face].copy()
     offset = float(src_domain.offsets[edge.source_face])
-    patch = None
-    if edge.patch is not None:
-        lo = np.asarray(edge.patch[0], dtype=float).reshape(-1)
-        hi = np.asarray(edge.patch[1], dtype=float).reshape(-1)
-        patch = (lo, hi)
 
     if isinstance(edge.target, TerminalTarget):
         if edge.target.terminal not in terminal_states:
@@ -490,7 +462,6 @@ def _bind_edge(i, edge, modes, terminal_states, d) -> BoundEdge:
         source_mode=edge.source_mode,
         source_face=edge.source_face,
         target=edge.target,
-        patch=patch,
         source_normal=normal,
         source_offset=offset,
         jacobian_value=h_value,
@@ -520,11 +491,6 @@ def _check_image_interior(i, edge, src_domain, tgt_domain) -> None:
         )
 
 
-def _patches_intersect(pa, pb) -> bool:
-    (alo, ahi), (blo, bhi) = pa, pb
-    return bool(np.all(ahi >= blo) and np.all(bhi >= alo))
-
-
 def ito_coefficients(model: HybridModel, mode: int, points: np.ndarray):
     """Ito drift and diffusion matrix from the Stratonovich fields.
 
@@ -544,7 +510,7 @@ def ito_coefficients(model: HybridModel, mode: int, points: np.ndarray):
 
 
 def jacobian_factor(edge: BoundEdge, point: np.ndarray) -> float:
-    """Surface-measure scaling h = |Jac Phi| at a point of the source patch."""
+    """Surface-measure scaling h = |Jac Phi| at a point of the source face."""
     if not isinstance(edge.target, SurfaceTarget):
         raise NotSurfaceTarget(f"edge {edge.index} maps to a terminal state")
     pt = np.asarray(point, dtype=float).reshape(-1)

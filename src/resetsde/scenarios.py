@@ -11,7 +11,7 @@ reportable as a diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -302,8 +302,19 @@ class GaussianCells:
 
 
 # named scenario registry for the CLI
+def _params(options: dict, known) -> dict:
+    """The scenario's "params" object, refusing keys it does not know."""
+    params = options.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError(f"params must be an object, got {params!r}")
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ScenarioError(f"unknown params {unknown}; known: {', '.join(known)}")
+    return params
+
+
 def _thermostat_bundle(options: dict):
-    params = ThermostatParams(**options.get("params", {}))
+    params = ThermostatParams(**_params(options, [f.name for f in fields(ThermostatParams)]))
     return {
         "model": thermostat_model(params),
         "initial_law": thermostat_initial(params),
@@ -320,7 +331,7 @@ def _thermostat_bundle(options: dict):
 
 
 def _brownian_bundle(options: dict):
-    opts = options.get("params", {})
+    opts = _params(options, ("x0", "box_length", "initial_std"))
     x0 = float(opts.get("x0", 1.0))
     box_length = float(opts.get("box_length", 8.0))
     std = float(opts.get("initial_std", 0.02))
@@ -335,7 +346,7 @@ def _brownian_bundle(options: dict):
 
 
 def _gamblers_bundle(options: dict):
-    opts = options.get("params", {})
+    opts = _params(options, ("x0", "initial_std"))
     x0 = float(opts.get("x0", 0.3))
     std = float(opts.get("initial_std", 0.01))
     model = gamblers_ruin_model()

@@ -9,7 +9,7 @@ empirical measures they would otherwise enter.
 
 Every trajectory draws from its own numpy PCG64 stream, seeded as
 `SeedSequence([base_seed, trajectory_index])`, so ensembles reproduce
-bit-for-bit regardless of batch size or worker count.  A stream's draws are
+bit-for-bit regardless of batch size.  A stream's draws are
 laid out as follows: the initial law draws first, then step j uses normals
 [j*d, (j+1)*d).  Normals are drawn in chunks of 64 steps for the live paths
 only, so noise memory is O(batch * 64 * d); a path's initial-law normals
@@ -21,12 +21,13 @@ the rows and are compacted away.
 
 The step, crossing test, face projection and reset map each have one
 batched implementation, used by the engine; the single-state `step`,
-`detect_hit` and `apply_reset` call them on a batch of one.
+`detect_hit` and `apply_reset` call them on a batch of one, and
+`simulate_path` runs the engine on a batch of one whose output times are all
+its checkpoints.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,7 +37,6 @@ from resetsde.model import (
     AffineField,
     HybridModel,
     TerminalTarget,
-    UnassignedFace,
     ito_coefficients,
 )
 
@@ -199,7 +199,7 @@ def _nudge_interior(domain, points: np.ndarray) -> np.ndarray:
 
 
 def _reset(model: HybridModel, q: int, f: int, pts: np.ndarray):
-    """Map hits on face f of mode q through their reset edges.
+    """Map hits on face f of mode q through the face's reset edge.
 
     Returns per-point (modes, positions, terminal_idx): a surface reset gives
     the target mode, the image point and -1; a terminal exit gives
@@ -207,23 +207,13 @@ def _reset(model: HybridModel, q: int, f: int, pts: np.ndarray):
     """
     if model.is_characteristic(q, f):
         raise CharacteristicFaceHit(f"path reached declared-characteristic face ({q}, {f})")
-    modes = np.full(pts.shape[0], _MODE_UNSET, dtype=np.int64)
-    positions = np.full(pts.shape, np.nan)
-    terms = np.full(pts.shape[0], -1, dtype=np.int64)
-    for edge in model.edges_for_face(q, f):
-        sel = edge.in_patch(pts) & (modes == _MODE_UNSET)
-        if not np.any(sel):
-            continue
-        target = edge.target
-        if isinstance(target, TerminalTarget):
-            modes[sel] = _MODE_TERMINAL
-            terms[sel] = model.terminal_states.index(target.terminal)
-        else:
-            modes[sel] = target.mode
-            positions[sel] = _nudge_interior(model.modes[target.mode].domain, target.map(pts[sel]))
-    if np.any(modes == _MODE_UNSET):
-        raise UnassignedFace(f"hit on face ({q}, {f}) lands outside every source patch")
-    return modes, positions, terms
+    target = model.edge_for_face(q, f).target
+    n = pts.shape[0]
+    if isinstance(target, TerminalTarget):
+        term = model.terminal_states.index(target.terminal)
+        return np.full(n, _MODE_TERMINAL), np.full(pts.shape, np.nan), np.full(n, term)
+    image = _nudge_interior(model.modes[target.mode].domain, target.map(pts))
+    return np.full(n, target.mode), image, np.full(n, -1)
 
 
 def _by_mode(fn, modes: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -573,11 +563,16 @@ def _streams(base_seed: int, idx: np.ndarray) -> list:
     return [np.random.Generator(np.random.PCG64(Seed(words))) for words in _pcg_seeds(base_seed, idx)]
 
 
-def _check_stream_key(base_seed, last_index) -> None:
-    """Streams are keyed by a non-negative integer seed and a path index below 2**32."""
-    for name, value, bound in (("seed", base_seed, np.inf), ("path index", last_index, 2**32)):
-        if not isinstance(value, (int, np.integer)) or not 0 <= value < bound:
-            raise SimulationError(f"{name} must be an integer in [0, {bound}), got {value!r}")
+def _check_counts(base_seed, last_index, zeno_cap, batch_size=1) -> None:
+    """Integer run inputs: stream keys (seed >= 0, path index < 2**32), jump cap and batch size >= 1."""
+    for name, value, lo, hi in (
+        ("seed", base_seed, 0, np.inf),
+        ("path index", last_index, 0, 2**32),
+        ("zeno_cap", zeno_cap, 1, np.inf),
+        ("batch_size", batch_size, 1, np.inf),
+    ):
+        if not isinstance(value, (int, np.integer)) or not lo <= value < hi:
+            raise SimulationError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +590,13 @@ def _run_batch(
     dt,
     zeno_cap,
     test_functions,
-    record_trajectory=False,
+    jumps=None,
 ):
+    """Advance paths index_range in lockstep and fill the output slots.
+
+    out_of_cp maps each checkpoint to its output slot (-1 for none); jump
+    events are appended to `jumps` unless it is None.
+    """
     d = model.dimension
     lo_idx, hi_idx = index_range
     batch = hi_idx - lo_idx
@@ -628,7 +628,7 @@ def _run_batch(
 
     t = np.zeros(batch)
     term = np.full(batch, -1, dtype=np.int64)
-    jumps = np.zeros(batch, dtype=np.int64)
+    n_jumps = np.zeros(batch, dtype=np.int64)
     next_cp = np.ones(batch, dtype=np.int64)
     intL = np.zeros((n_phi, batch))
     jsum = np.zeros((n_phi, batch))
@@ -638,15 +638,6 @@ def _run_batch(
         rec.phi0[k] = rec.phi_value(k, mode, pos, term)
     if out_of_cp[0] >= 0:
         rec.record(orig, mode, pos, term, intL, jsum)
-
-    traj_jumps: list = []
-    traj_modes = None
-    traj_positions = None
-    if record_trajectory:
-        traj_modes = np.full((len(checkpoints), batch), _MODE_UNSET, dtype=np.int64)
-        traj_positions = np.full((len(checkpoints), batch, d), np.nan)
-        traj_modes[0] = mode
-        traj_positions[0] = pos
 
     n_cp = len(checkpoints)
     # checkpoints where an arrival does work: output times and the horizon
@@ -703,33 +694,31 @@ def _run_batch(
             tau = (t[crossed] - delta[crossed]) + s * delta[crossed]
             t[crossed] = tau
             next_cp[crossed] -= 1
-            jumps[crossed] += 1
+            n_jumps[crossed] += 1
 
-            pre_modes = mode[crossed].copy()
-            for q in np.unique(pre_modes):
-                q = int(q)
-                q_sel = np.flatnonzero(pre_modes == q)
-                for f in np.unique(faces[q_sel]):
-                    f = int(f)
-                    f_sel = q_sel[faces[q_sel] == f]
-                    rows = crossed[f_sel]
-                    pts = _onto_face(model.modes[q].domain, f, hit_pts[f_sel])
-                    post_mode, post_pos, post_term = _reset(model, q, f, pts)
-                    mode[rows] = post_mode
-                    pos[rows] = post_pos
-                    term[rows] = post_term
-                    for k, phi in enumerate(test_functions):
-                        jsum[k, rows] += (
-                            rec.phi_value(k, post_mode, post_pos, post_term) - phi.evaluate(q, pts)
-                        )
-                    if record_trajectory:
-                        for j, tau_j in enumerate(tau[f_sel].tolist()):
-                            post = _state(model, post_mode[j], post_pos[j], post_term[j], tau_j)
-                            traj_jumps.append(JumpEvent(tau_j, q, f, pts[j].copy(), post))
+            # one reset group per (mode, face), in that order
+            keys = mode[crossed] * kernel.f_max + faces
+            for key in np.unique(keys).tolist():
+                q, f = divmod(key, kernel.f_max)
+                sel = np.flatnonzero(keys == key)
+                rows = crossed[sel]
+                pts = _onto_face(model.modes[q].domain, f, hit_pts[sel])
+                post_mode, post_pos, post_term = _reset(model, q, f, pts)
+                mode[rows] = post_mode
+                pos[rows] = post_pos
+                term[rows] = post_term
+                for k, phi in enumerate(test_functions):
+                    jsum[k, rows] += (
+                        rec.phi_value(k, post_mode, post_pos, post_term) - phi.evaluate(q, pts)
+                    )
+                if jumps is not None:
+                    for j, tau_j in enumerate(tau[sel].tolist()):
+                        post = _state(model, post_mode[j], post_pos[j], post_term[j], tau_j)
+                        jumps.append(JumpEvent(tau_j, q, f, pts[j].copy(), post))
 
             # zeno guard: flag paths that exhausted their jump budget
             post = mode[crossed]
-            post[(jumps[crossed] >= zeno_cap) & (post >= 0)] = _MODE_ZENO
+            post[(n_jumps[crossed] >= zeno_cap) & (post >= 0)] = _MODE_ZENO
             mode[crossed] = post
             live = post >= 0
 
@@ -752,16 +741,13 @@ def _run_batch(
 
         # checkpoint arrivals: every non-crossing live path, plus resyncs; an
         # arrival at index next_cp - 1 only does work at a stop checkpoint
-        if record_trajectory or np.any(is_stop[next_cp.min() - 1 : next_cp.max()]):
+        if np.any(is_stop[next_cp.min() - 1 : next_cp.max()]):
             arr_mask = mode >= 0
             if crossed.size:
                 arr_mask[crossed] = False
                 arr_mask[resync] = True
             arrivals = np.flatnonzero(arr_mask)
             arrived = next_cp[arrivals] - 1
-            if record_trajectory:
-                traj_modes[arrived, orig[arrivals]] = mode[arrivals]
-                traj_positions[arrived, orig[arrivals]] = pos[arrivals]
             slots = out_of_cp[arrived]
             with_out = arrivals[slots >= 0]
             if with_out.size:
@@ -782,7 +768,7 @@ def _run_batch(
             pos = pos[keep]
             t = t[keep]
             term = term[keep]
-            jumps = jumps[keep]
+            n_jumps = n_jumps[keep]
             next_cp = next_cp[keep]
             intL = intL[:, keep]
             jsum = jsum[:, keep]
@@ -796,9 +782,6 @@ def _run_batch(
         "phi_t": rec.phi_t if n_phi else None,
         "intL_at": rec.intL_at if n_phi else None,
         "jsum_at": rec.jsum_at if n_phi else None,
-        "traj_modes": traj_modes,
-        "traj_positions": traj_positions,
-        "traj_jumps": traj_jumps,
     }
 
 
@@ -823,47 +806,34 @@ def simulate_path(
     _check_time_grid(horizon, dt)
     if zeno_cap is None:
         zeno_cap = default_zeno_cap(horizon)
-    if zeno_cap < 1:
-        raise SimulationError("zeno_cap must be >= 1")
-    _check_stream_key(rng_seed, path_index)
+    _check_counts(rng_seed, path_index, zeno_cap)
 
     checkpoints, _ = _checkpoints(horizon, dt, [])
-    out_of_cp = np.full(len(checkpoints), -1, dtype=np.int64)
+    n_cp = len(checkpoints)
 
     if initial.terminal is not None:
         # terminal initial states stay put (no dynamics, no jumps)
-        times = checkpoints
-        modes = np.full(len(times), _MODE_TERMINAL, dtype=np.int64)
-        positions = np.full((len(times), model.dimension), np.nan)
+        modes = np.full(n_cp, _MODE_TERMINAL, dtype=np.int64)
+        positions = np.full((n_cp, model.dimension), np.nan)
         return Trajectory(
-            times, modes, positions, [], terminal_id=initial.terminal,
+            checkpoints, modes, positions, [], terminal_id=initial.terminal,
             terminal_time=initial.time, zeno_flag=False,
         )
 
-    law = PointMass(initial.mode, initial.position)
+    jumps: list = []
     res = _run_batch(
-        model, law, (path_index, path_index + 1), rng_seed, checkpoints,
-        out_of_cp, 0, dt, zeno_cap, (), record_trajectory=True,
+        model, PointMass(initial.mode, initial.position), (path_index, path_index + 1), rng_seed,
+        checkpoints, np.arange(n_cp), n_cp, dt, zeno_cap, (), jumps,
     )
-    modes = res["traj_modes"][:, 0]
-    positions = res["traj_positions"][:, 0, :]
-    jumps = sorted(res["traj_jumps"], key=lambda e: e.time)
-    # the last jump tells how the path ended: absorbed, zeno-flagged or neither
+    modes = res["mode_at"][:, 0]
+    positions = res["pos_at"][:, 0]
+    positions[modes < 0] = np.nan
+    # the last jump tells how the path was absorbed, if it was
     end = jumps[-1].post if jumps else initial
-    term_id = end.terminal
-    term_time = end.time if term_id is not None else None
-    zeno = len(jumps) >= zeno_cap and term_id is None
-    if term_id is not None:
-        after = checkpoints >= term_time
-        modes[after] = _MODE_TERMINAL
-        positions[after] = np.nan
-    if zeno:
-        after = checkpoints > end.time
-        modes[after] = _MODE_ZENO
-        positions[after] = np.nan
     return Trajectory(
-        checkpoints, modes, positions, jumps,
-        terminal_id=term_id, terminal_time=term_time, zeno_flag=zeno,
+        checkpoints, modes, positions, jumps, terminal_id=end.terminal,
+        terminal_time=end.time if end.terminal is not None else None,
+        zeno_flag=bool(modes[-1] == _MODE_ZENO),
     )
 
 
@@ -878,20 +848,20 @@ def ensemble(
     zeno_cap: int | None = None,
     test_functions: Sequence = (),
     batch_size: int = 100_000,
-    n_workers: int = 1,
 ) -> EmpiricalMeasure:
-    """Independent trajectories with per-path streams, reduced in index order.
+    """Independent trajectories with per-path streams, run batch by batch in
+    index order.
 
-    Identical inputs give bit-identical measures for any batch size or worker
-    count.  Zeno-flagged paths are counted separately and excluded from the
-    mode clouds and terminal counts.
+    Identical inputs give bit-identical measures for any batch size.
+    Zeno-flagged paths are counted separately and excluded from the mode
+    clouds and terminal counts.
     """
     if n_paths < 0:
         raise SimulationError("n_paths must be >= 0")
     _check_time_grid(horizon, dt)
-    _check_stream_key(base_seed, max(n_paths - 1, 0))
     if zeno_cap is None:
         zeno_cap = default_zeno_cap(horizon)
+    _check_counts(base_seed, max(n_paths - 1, 0), zeno_cap, batch_size)
     out_times = np.asarray(sorted(output_times), dtype=float)
     if out_times.size == 0:
         raise SimulationError("at least one output time is required")
@@ -914,21 +884,13 @@ def ensemble(
             base_seed,
         )
 
-    ranges = [
-        (lo, min(lo + batch_size, n_paths)) for lo in range(0, n_paths, batch_size)
-    ]
-
-    def run_range(rng_pair):
-        return _run_batch(
-            model, initial_law, rng_pair, base_seed, checkpoints, out_of_cp,
-            n_out, dt, zeno_cap, tuple(test_functions),
+    results = [
+        _run_batch(
+            model, initial_law, (lo, min(lo + batch_size, n_paths)), base_seed, checkpoints,
+            out_of_cp, n_out, dt, zeno_cap, tuple(test_functions),
         )
-
-    if n_workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_range, ranges))
-    else:
-        results = [run_range(r) for r in ranges]
+        for lo in range(0, n_paths, batch_size)
+    ]
 
     mode_at = np.concatenate([r["mode_at"] for r in results], axis=1)
     pos_at = np.concatenate([r["pos_at"] for r in results], axis=1)

@@ -113,9 +113,14 @@ class TestLoadConfig:
         payload = {"scenario": "brownian_reset", "ensemble_size": 7, "base_seed": 2**40,
                    "zeno_cap": 3, "threads": 2}
         config = load_config(write_config(tmp_path, payload))
-        assert (config.ensemble_size, config.base_seed, config.zeno_cap, config.threads) == (
-            7, 2**40, 3, 2,
-        )
+        assert (config.ensemble_size, config.base_seed, config.zeno_cap) == (7, 2**40, 3)
+
+    @pytest.mark.parametrize("key, value", [("scenario_options", "x"), ("output_dir", None), ("output_dir", "")])
+    def test_malformed_scenario_options_and_output_dir_rejected(self, tmp_path, key, value):
+        # "scenario_options": "x" raised AttributeError; a null output_dir wrote into ./None
+        path = write_config(tmp_path, {"scenario": "brownian_reset", key: value})
+        with pytest.raises(SchemaError, match=key):
+            load_config(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, "0.1"])
     def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, value):
@@ -213,6 +218,24 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert outputs[0] == outputs[2]
 
+    @pytest.mark.parametrize("payload, match", [
+        ({"scenario": "thermostat_1d", "scenario_options": {"params": {"bogus": 1}}}, "bogus"),
+        ({"model": {"modes": [{"box": [[0.0], [1.0]], "diffusion": []}]}}, "mode 0 needs 'drift'"),
+        ({"model": {"reset_edges": [{"source_face": 0, "terminal": "out"}]}}, "edge 0 needs 'source_mode'"),
+        ({"model": {"modes": [{"box": [[0.0], [1.0]], "drift": {"matrix": [[0.0]], "offset": [0.0]},
+                               "diffusion": [{"matrix": [[0.0]], "offset": [1.0]}]}],
+                    "reset_edges": [{"source_mode": 0, "source_face": f, "terminal": "out"} for f in (0, 1)],
+                    "terminal_states": ["out"]},
+          "initial": {"mode": 0, "std": 0.1}}, "initial needs 'mean'"),
+    ], ids=["unknown_param", "mode_without_drift", "edge_without_source_mode", "initial_without_mean"])
+    def test_malformed_model_or_scenario_params_raise_schema_error(self, tmp_path, payload, match):
+        # these ended in a raw TypeError or KeyError
+        payload = {"initial": {"mode": 0, "mean": [0.5], "std": 0.1}, **payload, "method": "mc",
+                   "output_dir": str(tmp_path / "out")}
+        config = load_config(write_config(tmp_path, payload))
+        with pytest.raises(SchemaError, match=match):
+            run(config)
+
     def test_inline_model_mc_run(self, tmp_path):
         payload = {
             "model": {
@@ -262,6 +285,19 @@ class TestMain:
         path = write_config(tmp_path, {"scenario": "brownian_reset", "dx": 1})
         assert main(["run", str(path)]) == 1
         assert "resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--resolution", "0", "resolution"),
+        ("--resolution", "2", "resolution"),
+        ("--seed", "-1", "base_seed"),
+        ("--dt", "0", "dt"),
+    ])
+    def test_bad_override_is_a_schema_error(self, tmp_path, capsys, flag, value, key):
+        # overrides used to skip load_config's checks and fail later as "error: ..."
+        path = write_config(tmp_path, dict(BROWNIAN_SMALL, output_dir=str(tmp_path / "out")))
+        assert main(["run", str(path), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
     def test_validate_forces_both(self, tmp_path):
         payload = {

@@ -926,6 +926,7 @@ class TestForwardOperator:
             "evolve(model, grid, state, stable_dt(grid, 0.9), 5)\n"
             "ensemble(model, GaussianInitial(0, [0.3], 0.01), 50, 0.1, 1e-2, [0.1], base_seed=1)\n"
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy loaded'\n"
+            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures loaded'\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

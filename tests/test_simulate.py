@@ -13,6 +13,7 @@ from resetsde.model import (
     ResetEdge,
     SurfaceTarget,
     TerminalTarget,
+    UnassignedFace,
     VectorFieldSet,
     box_domain,
     build_model,
@@ -257,6 +258,10 @@ class TestApplyReset:
         with pytest.raises(CharacteristicFaceHit):
             apply_reset(model, (0, 2, np.array([0.5, 0.0])))
 
+    def test_face_without_edge_raises(self):
+        with pytest.raises(UnassignedFace):
+            apply_reset(gamblers_ruin_model(), (0, 2, np.array([0.5])))
+
 
 class TestSimulatePath:
     def test_terminal_initial_is_constant(self):
@@ -316,6 +321,11 @@ class TestSimulatePath:
         )
         assert traj.zeno_flag
         assert len(traj.jumps) == cap
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5])
+    def test_refuses_a_zeno_cap_below_one_or_fractional(self, cap):
+        with pytest.raises(SimulationError, match="zeno_cap"):
+            simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), 0.1, 1e-2, 1, zeno_cap=cap)
 
     def test_default_zeno_cap_scales_with_horizon(self):
         assert default_zeno_cap(1.0) == 10_000
@@ -382,7 +392,7 @@ class TestEnsemble:
                 assert np.array_equal(m1.mode_clouds[k][q], m2.mode_clouds[k][q])
             assert m1.terminal_counts[k] == m2.terminal_counts[k]
 
-    def test_independent_of_batch_size_and_workers(self):
+    def test_independent_of_batch_size(self):
         model = thermostat_model()
         kwargs = dict(
             initial_law=GaussianInitial(0, [20.0], 0.05),
@@ -394,10 +404,21 @@ class TestEnsemble:
         )
         base = ensemble(model, **kwargs)
         small = ensemble(model, batch_size=17, **kwargs)
-        threaded = ensemble(model, batch_size=64, n_workers=2, **kwargs)
-        for variant in (small, threaded):
+        medium = ensemble(model, batch_size=64, **kwargs)
+        for variant in (small, medium):
             for q in range(2):
                 assert np.array_equal(base.mode_clouds[0][q], variant.mode_clouds[0][q])
+
+    @pytest.mark.parametrize("key, value", [
+        ("zeno_cap", 0), ("zeno_cap", -5), ("zeno_cap", 2.5),
+        ("batch_size", 0), ("batch_size", -3), ("batch_size", 2.5),
+    ])
+    def test_refuses_counts_below_one_or_fractional(self, key, value):
+        # zeno_cap 0 used to flag every path at its first reset; batch_size 0
+        # and -3 failed inside range() and np.concatenate
+        with pytest.raises(SimulationError, match=key):
+            ensemble(thermostat_model(), PointMass(0, [20.0]), 20, 0.1, 1e-2, [0.1], base_seed=1,
+                     **{key: value})
 
     def test_dynkin_records_independent_of_batch_size(self):
         model = thermostat_model()
@@ -627,14 +648,19 @@ class TestSinglePathMatchesEnsembleRow:
             model, PathState.in_mode(q0, x0), horizon, dt, rng_seed=seed, path_index=idx
         )
 
-        def rows(n):
-            return ensemble(model, PointMass(q0, x0), n, horizon, dt, [horizon], base_seed=seed)
+        out_times = [0.25, 0.5, 0.75, horizon]
 
-        mode, position, terminal = _last_row_outcome(rows(idx + 1), rows(idx), horizon)
-        assert mode == traj.modes[-1]
+        def rows(n):
+            return ensemble(model, PointMass(q0, x0), n, horizon, dt, out_times, base_seed=seed)
+
+        full, before = rows(idx + 1), rows(idx)
+        for t in out_times:
+            k = int(np.argmin(np.abs(traj.times - t)))
+            mode, position, terminal = _last_row_outcome(full, before, t)
+            assert mode == traj.modes[k], t
+            if mode >= 0:
+                assert position.tobytes() == traj.positions[k].tobytes(), t
         assert terminal == traj.terminal_id
-        if mode >= 0:
-            assert position.tobytes() == traj.positions[-1].tobytes()
 
 
 class TestStreams:
