@@ -149,11 +149,6 @@ class GridLayout:
     def dimension(self) -> int:
         return self.model.dimension
 
-    def stencil_cache(self, mode: int) -> dict:
-        if mode not in self._caches:
-            self._caches[mode] = _build_stencil_cache(self.model, self.mode_grids[mode], mode)
-        return self._caches[mode]
-
     def stability_bound(self) -> float:
         if "stability" not in self._caches:
             self._caches["stability"] = _stability_bound(self.model, self)
@@ -461,18 +456,18 @@ def apply_absorbing_bc(model: HybridModel, grid: GridLayout, density: DensitySta
 # assembled forward operator
 
 
-def _build_stencil_cache(model, mg: ModeGrid, mode: int) -> dict:
-    """Field samples at faces and cells, sampled once per grid."""
+def _field_samples(model, mg: ModeGrid, mode: int) -> dict:
+    """Field samples at one mode's faces and cells."""
     fields = model.modes[mode].fields
     cell_pts = mg.cell_center_points()
-    cache = {"A_cell": [np.asarray(a(cell_pts), dtype=float) for a in fields.diffusion]}
+    samples = {"A_cell": [np.asarray(a(cell_pts), dtype=float) for a in fields.diffusion]}
     for axis in range(mg.dimension):
         face_pts = _face_points(mg, axis)
-        cache[("A0f", axis)] = np.asarray(fields.drift(face_pts), dtype=float)[..., axis]
-        cache[("Af", axis)] = [
+        samples[("A0f", axis)] = np.asarray(fields.drift(face_pts), dtype=float)[..., axis]
+        samples[("Af", axis)] = [
             np.asarray(a(face_pts), dtype=float)[..., axis] for a in fields.diffusion
         ]
-    return cache
+    return samples
 
 
 def _face_points(mg: ModeGrid, axis: int) -> np.ndarray:
@@ -558,15 +553,16 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
         outflux_edge += [tab.edge_index] * m
     n_out = len(outflux_edge)
 
+    # field samples at each mode's faces and cells, taken once per grid
+    samples = [_field_samples(model, mg, q) for q, mg in enumerate(grid.mode_grids)]
     current, rate, outflux = [], [], []
     n_faces = 0
     for q, mg in enumerate(grid.mode_grids):
         d = mg.dimension
-        cache = grid.stencil_cache(q)
         for axis in range(d):
             n = mg.shape[axis]
             face_shape = tuple(s + (k == axis) for k, s in enumerate(mg.shape))
-            face, cell, w = _face_current_terms(mg, cache, axis)
+            face, cell, w = _face_current_terms(mg, samples[q], axis)
             col = offsets[q] + cell
             current.append((n_faces + face, col, w))
             fidx = np.unravel_index(face, face_shape)
@@ -588,7 +584,7 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
     for tab in grid.surface_tables:
         q = tab.target_mode
         m = 1 if tab.tgt_tangential is None else tab.tgt_tangential.size
-        face, cell, w = _one_sided_terms(grid.mode_grids[q], grid.stencil_cache(q), tab)
+        face, cell, w = _one_sided_terms(grid.mode_grids[q], samples[q], tab)
         current.append((n_faces + face, offsets[q] + cell, w))
         image_rows[tab.edge_index] = (n_faces + np.arange(m), n_faces + m + np.arange(m))
         n_faces += 2 * m
@@ -657,7 +653,7 @@ def _stencil_term(mg: ModeGrid, axis: int, rows, coef, ik, it, sample=None):
     return rows, cell, w
 
 
-def _face_current_terms(mg: ModeGrid, cache: dict, axis: int):
+def _face_current_terms(mg: ModeGrid, samples: dict, axis: int):
     """(face, cell, weight) with J.e_axis = sum weight * p[cell] on every face.
 
     Centred face values and normal differences with absorbing ghosts, and in
@@ -676,10 +672,10 @@ def _face_current_terms(mg: ModeGrid, cache: dict, axis: int):
     def emit(coef, ik, it, sample=None):
         terms.append(_stencil_term(mg, axis, face, coef, ik, it, sample))
 
-    half_a0 = 0.5 * cache[("A0f", axis)].reshape(-1)
+    half_a0 = 0.5 * samples[("A0f", axis)].reshape(-1)
     emit(half_a0, fk - 1, ft)
     emit(half_a0, fk, ft)
-    for a_cell, a_face in zip(cache["A_cell"], cache[("Af", axis)]):
+    for a_cell, a_face in zip(samples["A_cell"], samples[("Af", axis)]):
         c = -0.5 * a_face.reshape(-1)
         emit(c / mg.dx[axis], fk, ft, a_cell[..., axis])
         emit(-c / mg.dx[axis], fk - 1, ft, a_cell[..., axis])
@@ -691,7 +687,7 @@ def _face_current_terms(mg: ModeGrid, cache: dict, axis: int):
     return _join(terms)
 
 
-def _one_sided_terms(mg: ModeGrid, cache: dict, tab: TransferTable):
+def _one_sided_terms(mg: ModeGrid, samples: dict, tab: TransferTable):
     """(row, cell, weight) of the one-sided currents beside an image face H.
 
     Rows 0..m-1 hold the current on the face below H and rows m..2m-1 the
@@ -712,9 +708,9 @@ def _one_sided_terms(mg: ModeGrid, cache: dict, tab: TransferTable):
     tt = None if t is None else np.tile(t, 2)
     fk = np.concatenate([jh - 1, jh + 1])
     at, lo = _index(k, fk, tt), _index(k, fk - 1, tt)
-    v = cache[("A0f", k)][at]
+    v = samples[("A0f", k)][at]
     d = np.zeros(2 * m)
-    for a_cell, a_face in zip(cache["A_cell"], cache[("Af", k)]):
+    for a_cell, a_face in zip(samples["A_cell"], samples[("Af", k)]):
         af = a_face[at]
         d += 0.5 * af * af
         # the face sits between cells fk - 1 and fk, so `at` also names the upper cell
@@ -726,7 +722,7 @@ def _one_sided_terms(mg: ModeGrid, cache: dict, tab: TransferTable):
     if mg.dimension == 2:
         at_h = _index(k, tab.h_face_index, t)
         near = np.concatenate([jh - 1, jh])
-        for a_cell, a_face in zip(cache["A_cell"], cache[("Af", k)]):
+        for a_cell, a_face in zip(samples["A_cell"], samples[("Af", k)]):
             ct = np.tile(-0.25 * a_face[at_h] / mg.dx[1 - k], 2)
             terms.append(_stencil_term(mg, k, rows, ct, near, tt + 1, a_cell[..., 1 - k]))
             terms.append(_stencil_term(mg, k, rows, -ct, near, tt - 1, a_cell[..., 1 - k]))
@@ -878,7 +874,10 @@ def stationary_density(model: HybridModel, grid: GridLayout) -> DensityState:
     there: the reset-fed cell above the first image face, or the last cell
     when the model has no image face.  The system is solved by sparse LU, tiny
     negative entries are clipped, and the profile is normalised to unit
-    mass.  scipy is imported here, so only callers of this function load it.
+    mass.  A profile that sends more than 1e-12 of its mass to terminals per
+    stable step is not stationary, since terminals drain the model, and
+    raises SolverError.  scipy is imported here, so only callers of this
+    function load it.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
@@ -904,6 +903,9 @@ def stationary_density(model: HybridModel, grid: GridLayout) -> DensityState:
         [np.full(int(np.prod(mg.shape)), mg.cell_volume) for mg in grid.mode_grids]
     )
     solution /= float(solution @ vol)
+    drained = float(np.sum(_matvec(op.terminal, solution, len(model.terminal_states)))) * stable_dt(grid)
+    if drained > 1e-12:
+        raise SolverError(f"no stationary density: terminals drain {drained:.3e} of the mass per stable step")
     return DensityState(op.split(solution), {name: 0.0 for name in model.terminal_states}, 0.0)
 
 

@@ -11,6 +11,7 @@ reportable as a diagnostic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -303,18 +304,24 @@ class GaussianCells:
 
 # named scenario registry for the CLI
 def _params(options: dict, known) -> dict:
-    """The scenario's "params" object, refusing keys it does not know."""
+    """The scenario's "params" object, refusing keys it does not know and
+    values that are not finite real numbers."""
     params = options.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"params must be an object, got {params!r}")
     unknown = sorted(set(params) - set(known))
     if unknown:
-        raise ScenarioError(f"unknown params {unknown}; known: {', '.join(known)}")
+        names = ", ".join(f"params.{key}" for key in unknown)
+        raise ScenarioError(f"unknown {names}; known: {', '.join(known)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ScenarioError(f"params.{key} must be a finite number, got {value!r}")
     return params
 
 
 def _thermostat_bundle(options: dict):
-    params = ThermostatParams(**_params(options, [f.name for f in fields(ThermostatParams)]))
+    known = [f.name for f in fields(ThermostatParams) if f.name != "dimension"]
+    params = ThermostatParams(**_params(options, known))
     return {
         "model": thermostat_model(params),
         "initial_law": thermostat_initial(params),
@@ -335,6 +342,8 @@ def _brownian_bundle(options: dict):
     x0 = float(opts.get("x0", 1.0))
     box_length = float(opts.get("box_length", 8.0))
     std = float(opts.get("initial_std", 0.02))
+    if std <= 0.0:
+        raise ScenarioError(f"params.initial_std must be positive, got {std!r}")
     model = brownian_reset_model(x0, box_length)
     return {
         "model": model,
@@ -349,6 +358,10 @@ def _gamblers_bundle(options: dict):
     opts = _params(options, ("x0", "initial_std"))
     x0 = float(opts.get("x0", 0.3))
     std = float(opts.get("initial_std", 0.01))
+    if not 0.0 < x0 < 1.0:
+        raise ScenarioError(f"params.x0 must lie in (0, 1), got {x0!r}")
+    if std <= 0.0:
+        raise ScenarioError(f"params.initial_std must be positive, got {std!r}")
     model = gamblers_ruin_model()
     return {
         "model": model,

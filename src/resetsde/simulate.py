@@ -19,8 +19,12 @@ time-grid point unless a boundary crossing truncates it.  Dead paths stay in
 the state arrays, marked by a negative mode, until they make up a quarter of
 the rows and are compacted away.
 
-The step, crossing test, face projection and reset map each have one
-batched implementation, used by the engine; the single-state `step`,
+One stepping kernel proposes steps and tests face gaps on per-path rows of
+per-mode tables: every model's face geometry, plus the drift and noise
+coefficients when every drift is affine and every noise column constant;
+other fields are stepped mode by mode.  The step, crossing test, face
+projection and reset map each have one batched implementation, used by the
+engine; the single-state `step`,
 `detect_hit` and `apply_reset` call them on a batch of one, and
 `simulate_path` runs the engine on a batch of one whose output times are all
 its checkpoints.
@@ -244,7 +248,7 @@ def step(model: HybridModel, state: PathState, dt: float, noise) -> PathState:
     xi = np.zeros((1, max(model.dimension, increments.size)))
     xi[0, : increments.size] = increments
     modes = np.array([state.mode])
-    kernel = _make_kernel(model)
+    kernel = _Kernel(model)
     kernel.attach(modes)
     # the increments already carry the sqrt(dt) scale
     new = kernel.propose(modes, state.position[None, :], np.array([dt]), np.ones(1), xi)
@@ -282,136 +286,82 @@ def default_zeno_cap(horizon: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stepping kernels
+# stepping kernel
 
 
-class _AffineKernel:
-    """Per-path coefficient rows for affine drift and constant noise columns.
+class _Kernel:
+    """Per-path rows of per-mode tables for the proposal and the face-gap test.
 
-    The drift-correction term vanishes for constant diffusion fields, so the
-    Ito drift is the affine drift itself; one gathered expression then
-    advances a mixed-mode batch, with rows cached per path and refreshed only
-    when a path changes mode.
+    Every model's face normals and offsets are padded to the widest mode;
+    padded faces report gap -1 (strictly inside), never crossing.  When every
+    drift is affine and every noise column constant, the drift correction
+    vanishes, so the tables also hold the drift and noise coefficients and
+    one gathered expression advances a mixed-mode batch; other fields have no
+    row form and are stepped mode by mode.  A path's rows are refreshed only
+    when it changes mode.
     """
 
     def __init__(self, model: HybridModel):
-        d = model.dimension
-        n_modes = len(model.modes)
-        self.f_max = max(m.domain.n_faces for m in model.modes)
-        self.d = d
-        self.b_mat = np.zeros((n_modes, d, d))
-        self.b_off = np.zeros((n_modes, d))
-        self.noise_cols = np.zeros((n_modes, d, d))
-        self.normals = np.zeros((n_modes, self.f_max, d))
-        # padded faces report gap -1 (strictly inside), never crossing
-        self.offsets = np.full((n_modes, self.f_max), 1.0)
-        for q, m in enumerate(model.modes):
-            self.b_mat[q] = m.fields.drift.matrix
-            self.b_off[q] = m.fields.drift.offset
-            for r, a_field in enumerate(m.fields.diffusion):
-                self.noise_cols[q, :, r] = a_field.offset
-            nf = m.domain.n_faces
-            self.normals[q, :nf] = m.domain.normals
-            self.offsets[q, :nf] = m.domain.offsets
-
-    @staticmethod
-    def supports(model: HybridModel) -> bool:
+        self.model = model
+        self.d = d = model.dimension
+        self.f_max = f_max = max(m.domain.n_faces for m in model.modes)
+        self.affine = all(
+            isinstance(m.fields.drift, AffineField)
+            and all(isinstance(a, AffineField) and not np.any(a.matrix != 0.0) for a in m.fields.diffusion)
+            for m in model.modes
+        )
+        per_mode = []
         for m in model.modes:
-            if not isinstance(m.fields.drift, AffineField):
-                return False
-            for a_field in m.fields.diffusion:
-                if not isinstance(a_field, AffineField) or np.any(a_field.matrix != 0.0):
-                    return False
-        return True
+            nf = m.domain.n_faces
+            row = {"normals": np.zeros((f_max, d)), "offsets": np.ones(f_max)}
+            row["normals"][:nf], row["offsets"][:nf] = m.domain.normals, m.domain.offsets
+            if self.affine:
+                noise = np.column_stack([a_field.offset for a_field in m.fields.diffusion])
+                row.update(b_mat=m.fields.drift.matrix, b_off=m.fields.drift.offset, noise=noise)
+            per_mode.append(row)
+        self.tables = {key: np.array([row[key] for row in per_mode], dtype=float) for key in per_mode[0]}
 
     def attach(self, modes: np.ndarray) -> None:
-        self.row_b_mat = self.b_mat[modes]
-        self.row_b_off = self.b_off[modes]
-        self.row_noise = self.noise_cols[modes]
-        self.row_normals = self.normals[modes]
-        self.row_offsets = self.offsets[modes]
+        self.rows = {key: table[modes] for key, table in self.tables.items()}
 
     def update_rows(self, rows: np.ndarray, modes: np.ndarray) -> None:
-        self.row_b_mat[rows] = self.b_mat[modes]
-        self.row_b_off[rows] = self.b_off[modes]
-        self.row_noise[rows] = self.noise_cols[modes]
-        self.row_normals[rows] = self.normals[modes]
-        self.row_offsets[rows] = self.offsets[modes]
+        for key, table in self.tables.items():
+            self.rows[key][rows] = table[modes]
 
     def compact(self, keep: np.ndarray) -> None:
-        self.row_b_mat = self.row_b_mat[keep]
-        self.row_b_off = self.row_b_off[keep]
-        self.row_noise = self.row_noise[keep]
-        self.row_normals = self.row_normals[keep]
-        self.row_offsets = self.row_offsets[keep]
+        self.rows = {key: row[keep] for key, row in self.rows.items()}
 
     def propose(self, modes, theta, delta, sqrt_delta, xi):
-        d = self.d
+        if not self.affine:
+            # dead rows keep their positions, so the gap test reads no garbage
+            out = theta.copy()
+            for q in np.unique(modes[modes >= 0]).tolist():
+                sel = modes == q
+                pts = theta[sel]
+                move = ito_coefficients(self.model, q, pts)[0] * delta[sel, None]
+                for r, a_field in enumerate(self.model.modes[q].fields.diffusion):
+                    move = move + a_field(pts) * (xi[sel, r] * sqrt_delta[sel])[:, None]
+                out[sel] = pts + move
+            return out
+        b_mat, b_off, noise = self.rows["b_mat"], self.rows["b_off"], self.rows["noise"]
         out = np.empty_like(theta)
-        for i in range(d):
-            acc = self.row_b_off[:, i]
-            for j in range(d):
-                acc = acc + self.row_b_mat[:, i, j] * theta[:, j]
+        for i in range(self.d):
+            acc = b_off[:, i]
+            for j in range(self.d):
+                acc = acc + b_mat[:, i, j] * theta[:, j]
             acc = acc * delta
-            for r in range(d):
-                acc = acc + self.row_noise[:, i, r] * (xi[:, r] * sqrt_delta)
+            for r in range(self.d):
+                acc = acc + noise[:, i, r] * (xi[:, r] * sqrt_delta)
             out[:, i] = theta[:, i] + acc
         return out
 
-    def gaps(self, modes, points, rows=slice(None)):
-        normals = self.row_normals[rows]
+    def gaps(self, points, rows=slice(None)):
+        normals = self.rows["normals"][rows]
         g = normals[:, :, 0] * points[:, 0, None]
         for j in range(1, self.d):
             g += normals[:, :, j] * points[:, j, None]
-        g -= self.row_offsets[rows]
+        g -= self.rows["offsets"][rows]
         return g
-
-
-class _GeneralKernel:
-    """Per-mode fallback for arbitrary field objects."""
-
-    def __init__(self, model: HybridModel):
-        self.model = model
-        self.f_max = max(m.domain.n_faces for m in model.modes)
-
-    def attach(self, modes):
-        pass
-
-    def update_rows(self, rows, modes):
-        pass
-
-    def compact(self, keep):
-        pass
-
-    def propose(self, modes, theta, delta, sqrt_delta, xi):
-        out = np.empty_like(theta)
-        for q in range(len(self.model.modes)):
-            sel = modes == q
-            if not np.any(sel):
-                continue
-            pts = theta[sel]
-            move = ito_coefficients(self.model, q, pts)[0] * delta[sel, None]
-            for r, a_field in enumerate(self.model.modes[q].fields.diffusion):
-                move = move + a_field(pts) * (xi[sel, r] * sqrt_delta[sel])[:, None]
-            out[sel] = pts + move
-        return out
-
-    def gaps(self, modes, points, rows=slice(None)):
-        modes = modes[rows]
-        g = np.full((points.shape[0], self.f_max), -1.0)
-        for q in range(len(self.model.modes)):
-            sel = modes == q
-            if not np.any(sel):
-                continue
-            domain = self.model.modes[q].domain
-            g[np.ix_(sel, np.arange(domain.n_faces))] = domain.gaps(points[sel])
-        return g
-
-
-def _make_kernel(model: HybridModel):
-    if _AffineKernel.supports(model):
-        return _AffineKernel(model)
-    return _GeneralKernel(model)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +551,7 @@ def _run_batch(
     lo_idx, hi_idx = index_range
     batch = hi_idx - lo_idx
     gens = _streams(base_seed, np.arange(lo_idx, hi_idx))
-    kernel = _make_kernel(model)
+    kernel = _Kernel(model)
     n_phi = len(test_functions)
 
     # a path's initial-law normals and its first noise chunk come from one
@@ -662,14 +612,14 @@ def _run_batch(
         theta_new = kernel.propose(mode, start_pos, delta, sqrt_delta, xi)
 
         # crossing fractions only for the paths that actually left the domain
-        ge = kernel.gaps(mode, theta_new)
+        ge = kernel.gaps(theta_new)
         # a loop over the few face columns is ~5x faster than np.any(axis=1)
         hit = ge[:, 0] >= 0.0
         for k in range(1, ge.shape[1]):
             hit |= ge[:, k] >= 0.0
         crossed = np.flatnonzero(hit & (mode >= 0))
         if crossed.size:
-            gs = kernel.gaps(mode, start_pos[crossed], crossed)
+            gs = kernel.gaps(start_pos[crossed], crossed)
             s, faces = _first_crossing(gs, ge[crossed])
             hit_pts = start_pos[crossed] + s[:, None] * (theta_new[crossed] - start_pos[crossed])
 

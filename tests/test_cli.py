@@ -227,7 +227,18 @@ class TestRun:
                     "reset_edges": [{"source_mode": 0, "source_face": f, "terminal": "out"} for f in (0, 1)],
                     "terminal_states": ["out"]},
           "initial": {"mode": 0, "std": 0.1}}, "initial needs 'mean'"),
-    ], ids=["unknown_param", "mode_without_drift", "edge_without_source_mode", "initial_without_mean"])
+        ({"scenario": "brownian_reset", "scenario_options": {"params": {"x0": "far"}}}, "params.x0"),
+        ({"scenario": "gamblers_ruin", "scenario_options": {"params": {"x0": 1.5}}}, "params.x0"),
+        ({"scenario": "gamblers_ruin", "scenario_options": {"params": {"x0": True}}}, "params.x0"),
+        ({"scenario": "gamblers_ruin", "scenario_options": {"params": {"x0": None}}}, "params.x0"),
+        ({"scenario": "gamblers_ruin", "scenario_options": {"params": {"x0": float("nan")}}}, "params.x0"),
+        ({"scenario": "gamblers_ruin", "scenario_options": {"params": {"initial_std": 0}}}, "params.initial_std"),
+        ({"scenario": "thermostat_1d", "scenario_options": {"params": {"dimension": 2}}}, "params.dimension"),
+        ({"scenario": "thermostat_1d", "scenario_options": {"params": {"gamma": "x"}}}, "params.gamma"),
+        ({"scenario": "thermostat_1d", "scenario_options": {"params": {"gamma": [0.3]}}}, "params.gamma"),
+    ], ids=["unknown_param", "mode_without_drift", "edge_without_source_mode", "initial_without_mean",
+            "brownian_string_x0", "ruin_x0_outside_interval", "ruin_bool_x0", "ruin_null_x0", "ruin_nan_x0",
+            "ruin_zero_initial_std", "thermostat_dimension", "thermostat_string_gamma", "thermostat_list_gamma"])
     def test_malformed_model_or_scenario_params_raise_schema_error(self, tmp_path, payload, match):
         # these ended in a raw TypeError or KeyError
         payload = {"initial": {"mode": 0, "mean": [0.5], "std": 0.1}, **payload, "method": "mc",

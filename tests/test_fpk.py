@@ -637,6 +637,14 @@ class TestStationaryAndCoarsen:
         assert 1.50e-3 <= above <= 1.60e-3
         assert 1.50e-3 <= below <= 1.60e-3
 
+    def test_draining_model_has_no_stationary_density(self):
+        # both faces of the ruin interval absorb, so the pinned solve gave a
+        # unit-mass ramp with max|L_h p| = 5,000 instead of failing
+        model = gamblers_ruin_model()
+        grid = build_grid(model, 50)
+        with pytest.raises(SolverError, match="terminals drain"):
+            stationary_density(model, grid)
+
     def test_run_to_stationarity_terminates_on_draining_density(self):
         model = brownian_interval(0.0, 2.0)
         grid = build_grid(model, 100)

@@ -97,6 +97,15 @@ def two_box_2d():
     return build_model(ModelSpec(2, [inner, outer], edges, terminal_states=["out"]))
 
 
+def multiplicative_thermostat():
+    """The thermostat geometry and drifts with noise 0.01 x + 0.1, stepped mode by mode."""
+    base = thermostat_model()
+    noise = (AffineField([[0.01]], [0.1]),)
+    modes = [Mode(m.domain, VectorFieldSet(m.fields.drift, noise)) for m in base.modes]
+    edges = [ResetEdge(e.source_mode, e.source_face, e.target) for e in base.reset_edges]
+    return build_model(ModelSpec(1, modes, edges, terminal_states=list(base.terminal_states)))
+
+
 def ruin_phi():
     """exp(x), whose generator under unit Brownian motion is exp(x) / 2."""
     return TestFunction(
@@ -393,7 +402,6 @@ class TestEnsemble:
             assert m1.terminal_counts[k] == m2.terminal_counts[k]
 
     def test_independent_of_batch_size(self):
-        model = thermostat_model()
         kwargs = dict(
             initial_law=GaussianInitial(0, [20.0], 0.05),
             n_paths=300,
@@ -402,12 +410,14 @@ class TestEnsemble:
             output_times=[0.5],
             base_seed=5,
         )
-        base = ensemble(model, **kwargs)
-        small = ensemble(model, batch_size=17, **kwargs)
-        medium = ensemble(model, batch_size=64, **kwargs)
-        for variant in (small, medium):
-            for q in range(2):
-                assert np.array_equal(base.mode_clouds[0][q], variant.mode_clouds[0][q])
+        # the second model has no row form, so it takes the per-mode proposal
+        for model in (thermostat_model(), multiplicative_thermostat()):
+            base = ensemble(model, **kwargs)
+            small = ensemble(model, batch_size=17, **kwargs)
+            medium = ensemble(model, batch_size=64, **kwargs)
+            for variant in (small, medium):
+                for q in range(2):
+                    assert np.array_equal(base.mode_clouds[0][q], variant.mode_clouds[0][q])
 
     @pytest.mark.parametrize("key, value", [
         ("zeno_cap", 0), ("zeno_cap", -5), ("zeno_cap", 2.5),
