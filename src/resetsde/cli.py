@@ -393,9 +393,9 @@ def run(config: RunConfig) -> int:
     dx = span / n_cells
     try:
         grid = fpk.build_grid(model, bundle["resolution"](dx))
-    except fpk.SolverError:
+    except (ScenarioError, fpk.SolverError) as exc:
         if config.method != "mc":
-            raise
+            raise SchemaError(f"scenario_options: {exc}") if isinstance(exc, ScenarioError) else exc
         grid = None  # MC-only runs tolerate grid-incompatible geometry
 
     pde_states = None

@@ -497,16 +497,22 @@ def ito_coefficients(model: HybridModel, mode: int, points: np.ndarray):
     b^i = A0^i + 1/2 sum_r sum_j A_r^j d_j A_r^i,  a^ij = sum_r A_r^i A_r^j.
     Accepts points of shape (d,) or (k, d); returns matching-shaped b and a.
     """
-    fields = model.modes[mode].fields
     pts = np.asarray(points, dtype=float)
-    b = fields.drift(pts).copy()
+    b, values = ito_drift(model, mode, pts)
     a = np.zeros(pts.shape + (model.dimension,))
-    for a_field in fields.diffusion:
-        val = a_field(pts)
-        jac = a_field.jacobian(pts)
-        b += 0.5 * np.einsum("...ij,...j->...i", jac, val)
+    for val in values:
         a += np.einsum("...i,...j->...ij", val, val)
     return b, a
+
+
+def ito_drift(model: HybridModel, mode: int, points: np.ndarray):
+    """Ito drift b and the value of each diffusion field A_r, each field evaluated once."""
+    fields = model.modes[mode].fields
+    b = fields.drift(points).copy()
+    values = [a_field(points) for a_field in fields.diffusion]
+    for a_field, val in zip(fields.diffusion, values):
+        b += 0.5 * np.einsum("...ij,...j->...i", a_field.jacobian(points), val)
+    return b, values
 
 
 def jacobian_factor(edge: BoundEdge, point: np.ndarray) -> float:

@@ -170,19 +170,22 @@ def thermostat_initial(params: ThermostatParams = ThermostatParams(), std: float
 
 
 def thermostat_resolution(params: ThermostatParams, dx: float) -> list:
-    """Per-mode cell counts for a 1D grid with faces on the thresholds."""
+    """Per-mode cell counts for a 1D grid with faces on the thresholds.
+
+    Each mode spans the band between the thresholds plus the margin, so both
+    must be whole numbers of cells; otherwise a threshold's image falls
+    inside a cell of the other mode.
+    """
     if params.dimension != 1:
         raise ScenarioError("grid resolutions are computed for 1D thermostats")
-    out = []
-    for lo, hi in (
-        (params.psi_min, params.psi_max + params.box_margin),
-        (params.psi_min - params.box_margin, params.psi_max),
-    ):
-        cells = (hi - lo) / dx
-        if abs(cells - round(cells)) > 1e-9:
-            raise ScenarioError(f"dx {dx} does not divide the mode span {hi - lo}")
-        out.append((int(round(cells)),))
-    return out
+    band, margin = params.psi_max - params.psi_min, params.box_margin
+    if any(abs(length / dx - round(length / dx)) > 1e-9 for length in (band, margin)):
+        raise ScenarioError(
+            f"params.psi_max - params.psi_min ({band:g}) and params.box_margin ({margin:g}) "
+            f"must be whole numbers of cells of width {dx:g}"
+        )
+    cells = int(round(band / dx)) + int(round(margin / dx))
+    return [(cells,), (cells,)]
 
 
 # ---------------------------------------------------------------------------

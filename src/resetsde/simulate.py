@@ -9,30 +9,34 @@ empirical measures they would otherwise enter.
 
 Every trajectory draws from its own numpy PCG64 stream, seeded as
 `SeedSequence([base_seed, trajectory_index])`, so ensembles reproduce
-bit-for-bit regardless of batch size.  A stream's draws are
-laid out as follows: the initial law draws first, then step j uses normals
+bit-for-bit regardless of batch size; the streams of a batch take their seed
+words from one shared seed object.  A stream's draws are laid out as
+follows: the initial law draws first, then step j uses normals
 [j*d, (j+1)*d).  Normals are drawn in chunks of 64 steps for the live paths
-only, so noise memory is O(batch * 64 * d); a path's initial-law normals
-share one draw call with its first chunk.  The hot loop advances all live
-paths in lockstep: one proposal per iteration, landing exactly on the next
-time-grid point unless a boundary crossing truncates it.  Dead paths stay in
-the state arrays, marked by a negative mode, until they make up a quarter of
-the rows and are compacted away.
+only, into a buffer whose rows follow the state rows, so a step reads one
+column block and noise memory is O(batch * 64 * d); a path's initial-law
+normals share one draw call with its first chunk.  The hot loop advances all
+live paths in lockstep: one proposal per iteration, landing exactly on the
+next time-grid point unless a boundary crossing truncates it.  Dead paths
+stay in the state arrays, marked by a negative mode, until the chunk is used
+up; at the refill they are dropped with their streams, and the buffer
+shrinks to a view of its first rows, never copied.  A 5,000-path gamblers'
+ruin batch peaks at about 1.34 kB per path (tracemalloc).
 
-One stepping kernel proposes steps and tests face gaps on per-path rows of
-per-mode tables: every model's face geometry, plus the drift and noise
-coefficients when every drift is affine and every noise column constant;
-other fields are stepped mode by mode.  The step, crossing test, face
-projection and reset map each have one batched implementation, used by the
-engine; the single-state `step`,
-`detect_hit` and `apply_reset` call them on a batch of one, and
-`simulate_path` runs the engine on a batch of one whose output times are all
-its checkpoints.
+One stepping kernel proposes steps, tests face gaps and looks up resets on
+per-path rows of per-mode tables: every model's face geometry and reset
+targets, plus the drift and noise coefficients when every drift is affine
+and every noise column constant; other fields are stepped mode by mode.
+Terminal exits apply in one pass; surface images go by (mode, face) group.
+The single-state `step`, `detect_hit` and `apply_reset` share the engine's
+batched implementations on a batch of one, and `simulate_path` runs the
+engine on a batch of one whose output times are all its checkpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +45,7 @@ from resetsde.model import (
     AffineField,
     HybridModel,
     TerminalTarget,
-    ito_coefficients,
+    ito_drift,
 )
 
 _CHUNK_STEPS = 64  # steps of noise drawn per refill
@@ -203,21 +207,14 @@ def _nudge_interior(domain, points: np.ndarray) -> np.ndarray:
 
 
 def _reset(model: HybridModel, q: int, f: int, pts: np.ndarray):
-    """Map hits on face f of mode q through the face's reset edge.
-
-    Returns per-point (modes, positions, terminal_idx): a surface reset gives
-    the target mode, the image point and -1; a terminal exit gives
-    _MODE_TERMINAL, NaN and the terminal's index.
-    """
+    """The reset target of face f of mode q, and the image of the hit points
+    pts under a surface reset (None for a terminal exit)."""
     if model.is_characteristic(q, f):
         raise CharacteristicFaceHit(f"path reached declared-characteristic face ({q}, {f})")
     target = model.edge_for_face(q, f).target
-    n = pts.shape[0]
     if isinstance(target, TerminalTarget):
-        term = model.terminal_states.index(target.terminal)
-        return np.full(n, _MODE_TERMINAL), np.full(pts.shape, np.nan), np.full(n, term)
-    image = _nudge_interior(model.modes[target.mode].domain, target.map(pts))
-    return np.full(n, target.mode), image, np.full(n, -1)
+        return target, None
+    return target, _nudge_interior(model.modes[target.mode].domain, target.map(pts))
 
 
 def _by_mode(fn, modes: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -227,12 +224,6 @@ def _by_mode(fn, modes: np.ndarray, points: np.ndarray) -> np.ndarray:
         sel = modes == q
         out[sel] = fn(int(q), points[sel])
     return out
-
-
-def _state(model: HybridModel, mode: int, position, term: int, time: float) -> PathState:
-    if mode == _MODE_TERMINAL:
-        return PathState.at_terminal(model.terminal_states[term], time)
-    return PathState.in_mode(int(mode), position, time)
 
 
 def step(model: HybridModel, state: PathState, dt: float, noise) -> PathState:
@@ -276,9 +267,10 @@ def detect_hit(domain, start, end):
 def apply_reset(model: HybridModel, hit: tuple[int, int, np.ndarray], time: float = 0.0) -> PathState:
     """Map a boundary hit through its reset edge."""
     mode, face, point = hit
-    point = np.asarray(point, dtype=float).reshape(1, -1)
-    modes, positions, terms = _reset(model, mode, face, point)
-    return _state(model, modes[0], positions[0], terms[0], time)
+    target, image = _reset(model, mode, face, np.asarray(point, dtype=float).reshape(1, -1))
+    if image is None:
+        return PathState.at_terminal(target.terminal, time)
+    return PathState.in_mode(target.mode, image[0], time)
 
 
 def default_zeno_cap(horizon: float) -> int:
@@ -298,7 +290,9 @@ class _Kernel:
     vanishes, so the tables also hold the drift and noise coefficients and
     one gathered expression advances a mixed-mode batch; other fields have no
     row form and are stepped mode by mode.  A path's rows are refreshed only
-    when it changes mode.
+    when it changes mode.  The reset tables, indexed by mode * f_max + face,
+    hold the post-jump mode (_MODE_TERMINAL for an exit, _MODE_UNSET for a
+    characteristic or padded face) and terminal index (-1 for none).
     """
 
     def __init__(self, model: HybridModel):
@@ -320,6 +314,13 @@ class _Kernel:
                 row.update(b_mat=m.fields.drift.matrix, b_off=m.fields.drift.offset, noise=noise)
             per_mode.append(row)
         self.tables = {key: np.array([row[key] for row in per_mode], dtype=float) for key in per_mode[0]}
+        self.post_mode = np.full(len(model.modes) * f_max, _MODE_UNSET, dtype=np.int64)
+        self.post_term = np.full(self.post_mode.size, -1, dtype=np.int64)
+        for (q, f), i in model.face_edges.items():
+            target = model.reset_edges[i].target
+            terminal = isinstance(target, TerminalTarget)
+            self.post_mode[q * f_max + f] = _MODE_TERMINAL if terminal else target.mode
+            self.post_term[q * f_max + f] = model.terminal_states.index(target.terminal) if terminal else -1
 
     def attach(self, modes: np.ndarray) -> None:
         self.rows = {key: table[modes] for key, table in self.tables.items()}
@@ -338,9 +339,10 @@ class _Kernel:
             for q in np.unique(modes[modes >= 0]).tolist():
                 sel = modes == q
                 pts = theta[sel]
-                move = ito_coefficients(self.model, q, pts)[0] * delta[sel, None]
-                for r, a_field in enumerate(self.model.modes[q].fields.diffusion):
-                    move = move + a_field(pts) * (xi[sel, r] * sqrt_delta[sel])[:, None]
+                b, values = ito_drift(self.model, q, pts)
+                move = b * delta[sel, None]
+                for r, val in enumerate(values):
+                    move = move + val * (xi[sel, r] * sqrt_delta[sel])[:, None]
                 out[sel] = pts + move
             return out
         b_mat, b_off, noise = self.rows["b_mat"], self.rows["b_off"], self.rows["noise"]
@@ -503,14 +505,19 @@ def _streams(base_seed: int, idx: np.ndarray) -> list:
     # numpy.random loads here rather than at package import
     from numpy.random.bit_generator import ISeedSequence
 
-    class Seed(ISeedSequence):  # numpy's protocol for handing a bit generator its seed words
-        def __init__(self, words):
-            self.words = words
+    class Seeds(ISeedSequence):  # numpy's protocol for handing a bit generator its seed words
+        __slots__ = ("rows", "taken")
+
+        def __init__(self, rows):
+            self.rows, self.taken = rows, 0
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
+            # each PCG64 asks once, so the streams take the rows in order
+            self.taken += 1
+            return self.rows[self.taken - 1]
 
-    return [np.random.Generator(np.random.PCG64(Seed(words))) for words in _pcg_seeds(base_seed, idx)]
+    seeds = Seeds(_pcg_seeds(base_seed, idx))
+    return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(idx.size)]
 
 
 def _check_counts(base_seed, last_index, zeno_cap, batch_size=1) -> None:
@@ -542,7 +549,7 @@ def _run_batch(
     test_functions,
     jumps=None,
 ):
-    """Advance paths index_range in lockstep and fill the output slots.
+    """Advance paths index_range in lockstep; returns their filled _BatchRecorder.
 
     out_of_cp maps each checkpoint to its output slot (-1 for none); jump
     events are appended to `jumps` unless it is None.
@@ -559,9 +566,9 @@ def _run_batch(
     gaussian = isinstance(initial_law, GaussianInitial)
     n_init = initial_law.mean.size if gaussian else 0
     draws = np.empty((batch, n_init + _CHUNK_STEPS * d))
-    for i, gen in enumerate(gens):
-        gen.standard_normal(out=draws[i])
-    buf = draws[:, n_init:]  # noise chunk, indexed by original position
+    for row, gen in zip(draws, gens):
+        gen.standard_normal(out=row)
+    buf = draws[:, n_init:]  # noise chunk, one row per state row
     cursor = 0
 
     # path state per row; a dead row has a negative mode until it is compacted away
@@ -597,10 +604,22 @@ def _run_batch(
 
     while n_dead < orig.size:
         if cursor == buf.shape[1]:
-            for i in orig[mode >= 0].tolist():
-                gens[i].standard_normal(out=buf[i])
+            if n_dead:
+                # the buffer holds no unread noise, so the dead rows go now: the
+                # live rows move to the front and the buffer shrinks to a view
+                keep = mode >= 0
+                gens = list(compress(gens, keep))
+                buf = buf[: len(gens)]
+                n_dead = 0
+                orig, mode, pos, t, term, n_jumps, next_cp = (
+                    row[keep] for row in (orig, mode, pos, t, term, n_jumps, next_cp)
+                )
+                intL, jsum = intL[:, keep], jsum[:, keep]
+                kernel.compact(keep)
+            for row, gen in zip(buf, gens):
+                gen.standard_normal(out=row)
             cursor = 0
-        xi = buf[orig, cursor : cursor + d]
+        xi = buf[:, cursor : cursor + d]
         cursor += d
 
         # dead rows step too, but never cross or arrive; past the horizon
@@ -646,28 +665,31 @@ def _run_batch(
             next_cp[crossed] -= 1
             n_jumps[crossed] += 1
 
-            # one reset group per (mode, face), in that order
+            # the reset tables apply every crossing at once; surface images go
+            # by (mode, face) group, in that order, and so do terminal exits
+            # when test functions or jump events read their hit points
             keys = mode[crossed] * kernel.f_max + faces
-            for key in np.unique(keys).tolist():
+            post = kernel.post_mode[keys]
+            term[crossed] = kernel.post_term[keys]
+            pos[crossed[post == _MODE_TERMINAL]] = np.nan
+            grouped = keys if n_phi or jumps is not None else keys[post != _MODE_TERMINAL]
+            for key in np.unique(grouped).tolist():
                 q, f = divmod(key, kernel.f_max)
                 sel = np.flatnonzero(keys == key)
                 rows = crossed[sel]
                 pts = _onto_face(model.modes[q].domain, f, hit_pts[sel])
-                post_mode, post_pos, post_term = _reset(model, q, f, pts)
-                mode[rows] = post_mode
-                pos[rows] = post_pos
-                term[rows] = post_term
+                target, image = _reset(model, q, f, pts)
+                if image is not None:
+                    pos[rows] = image
                 for k, phi in enumerate(test_functions):
-                    jsum[k, rows] += (
-                        rec.phi_value(k, post_mode, post_pos, post_term) - phi.evaluate(q, pts)
-                    )
+                    jsum[k, rows] += rec.phi_value(k, post[sel], pos[rows], term[rows]) - phi.evaluate(q, pts)
                 if jumps is not None:
                     for j, tau_j in enumerate(tau[sel].tolist()):
-                        post = _state(model, post_mode[j], post_pos[j], post_term[j], tau_j)
-                        jumps.append(JumpEvent(tau_j, q, f, pts[j].copy(), post))
+                        state = (PathState.at_terminal(target.terminal, tau_j) if image is None
+                                 else PathState.in_mode(target.mode, image[j], tau_j))
+                        jumps.append(JumpEvent(tau_j, q, f, pts[j].copy(), state))
 
             # zeno guard: flag paths that exhausted their jump budget
-            post = mode[crossed]
             post[(n_jumps[crossed] >= zeno_cap) & (post >= 0)] = _MODE_ZENO
             mode[crossed] = post
             live = post >= 0
@@ -709,30 +731,7 @@ def _run_batch(
             mode[done] = _MODE_UNSET
             n_dead += done.size
 
-        # compaction re-indexes every row array, so it waits for a quarter of them to be dead
-        if 4 * n_dead >= orig.size > n_dead:
-            keep = mode >= 0
-            n_dead = 0
-            orig = orig[keep]
-            mode = mode[keep]
-            pos = pos[keep]
-            t = t[keep]
-            term = term[keep]
-            n_jumps = n_jumps[keep]
-            next_cp = next_cp[keep]
-            intL = intL[:, keep]
-            jsum = jsum[:, keep]
-            kernel.compact(keep)
-
-    return {
-        "mode_at": rec.mode_at,
-        "pos_at": rec.pos_at,
-        "term_at": rec.term_at,
-        "phi0": rec.phi0 if n_phi else None,
-        "phi_t": rec.phi_t if n_phi else None,
-        "intL_at": rec.intL_at if n_phi else None,
-        "jsum_at": rec.jsum_at if n_phi else None,
-    }
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +774,8 @@ def simulate_path(
         model, PointMass(initial.mode, initial.position), (path_index, path_index + 1), rng_seed,
         checkpoints, np.arange(n_cp), n_cp, dt, zeno_cap, (), jumps,
     )
-    modes = res["mode_at"][:, 0]
-    positions = res["pos_at"][:, 0]
+    modes = res.mode_at[:, 0]
+    positions = res.pos_at[:, 0]
     positions[modes < 0] = np.nan
     # the last jump tells how the path was absorbed, if it was
     end = jumps[-1].post if jumps else initial
@@ -842,9 +841,9 @@ def ensemble(
         for lo in range(0, n_paths, batch_size)
     ]
 
-    mode_at = np.concatenate([r["mode_at"] for r in results], axis=1)
-    pos_at = np.concatenate([r["pos_at"] for r in results], axis=1)
-    term_at = np.concatenate([r["term_at"] for r in results], axis=1)
+    mode_at = np.concatenate([r.mode_at for r in results], axis=1)
+    pos_at = np.concatenate([r.pos_at for r in results], axis=1)
+    term_at = np.concatenate([r.term_at for r in results], axis=1)
 
     mode_clouds = []
     terminal_counts = []
@@ -867,10 +866,10 @@ def ensemble(
     for k_phi in range(len(test_functions)):
         dynkin.append(
             DynkinRecord(
-                phi0=np.concatenate([r["phi0"][k_phi] for r in results]),
-                phi_t=np.concatenate([r["phi_t"][k_phi] for r in results], axis=1),
-                int_generator=np.concatenate([r["intL_at"][k_phi] for r in results], axis=1),
-                jump_sum=np.concatenate([r["jsum_at"][k_phi] for r in results], axis=1),
+                phi0=np.concatenate([r.phi0[k_phi] for r in results]),
+                phi_t=np.concatenate([r.phi_t[k_phi] for r in results], axis=1),
+                int_generator=np.concatenate([r.intL_at[k_phi] for r in results], axis=1),
+                jump_sum=np.concatenate([r.jsum_at[k_phi] for r in results], axis=1),
                 alive=mode_at != _MODE_ZENO,
                 phi=test_functions[k_phi],
             )

@@ -310,6 +310,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    @pytest.mark.parametrize("params", [{"psi_max": 21.005}, {"psi_min": 18.995}, {"box_margin": 1.285}])
+    def test_off_grid_thermostat_params_are_a_config_error(self, tmp_path, capsys, params):
+        # a threshold off the cell faces ended in "error: MisalignedH" from the solver
+        payload = {"scenario": "thermostat_1d", "scenario_options": {"params": params}, "horizon": 0.05,
+                   "output_times": [0.05], "dt": 1e-2, "ensemble_size": 50, "output_dir": str(tmp_path / "out")}
+        path = write_config(tmp_path, dict(payload, method="pde"))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"params.{next(iter(params))}" in err
+        # the Monte-Carlo engine needs no grid
+        assert main(["run", str(write_config(tmp_path, dict(payload, method="mc")))]) == 0
+
     def test_validate_forces_both(self, tmp_path):
         payload = {
             "scenario": "brownian_reset",

@@ -106,6 +106,13 @@ def multiplicative_thermostat():
     return build_model(ModelSpec(1, modes, edges, terminal_states=list(base.terminal_states)))
 
 
+def narrow_margin_thermostat():
+    """The thermostat with unit noise and a 0.02 margin: a path switched onto a
+    threshold is often truncated a step later, so surface and terminal
+    crossings share steps and paths die throughout the run."""
+    return thermostat_model(ThermostatParams(gamma=1.0, box_margin=0.02))
+
+
 def ruin_phi():
     """exp(x), whose generator under unit Brownian motion is exp(x) / 2."""
     return TestFunction(
@@ -266,6 +273,9 @@ class TestApplyReset:
         )
         with pytest.raises(CharacteristicFaceHit):
             apply_reset(model, (0, 2, np.array([0.5, 0.0])))
+        # the engine looks resets up in per-face tables and still refuses the face
+        with pytest.raises(CharacteristicFaceHit):
+            ensemble(model, PointMass(0, [0.5, 0.05]), 20, 1.0, 1e-2, [1.0], base_seed=1)
 
     def test_face_without_edge_raises(self):
         with pytest.raises(UnassignedFace):
@@ -559,6 +569,21 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak < 50e6
 
+    def test_memory_per_path_is_bounded(self):
+        # the streams share one seed object and the noise buffer is never
+        # copied: 1,337 B per path here, against 1,552 with one seed object
+        # per stream and a gathered copy of each step's normals
+        model, law, n = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01), 5_000
+        ensemble(model, law, 10, 2.0, 1e-3, [2.0], base_seed=1)   # imports stay outside the peak
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ensemble(model, law, n, 2.0, 1e-3, [2.0], base_seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 1_440, peak / n
+
     def test_repeated_output_time_rejected(self):
         # one output slot per checkpoint: a repeated time would leave a slot
         # that accounts for only part of the paths
@@ -618,6 +643,89 @@ class TestEnsemble:
         in_modes = sum(c.shape[0] for c in measure.mode_clouds[0])
         terminal = sum(measure.terminal_counts[0].values())
         assert in_modes + terminal + int(measure.zeno_counts[0]) == n
+
+
+NARROW = dict(n_paths=150, horizon=1.5, dt=1e-2, output_times=[0.64, 0.65, 1.5], base_seed=22)
+NARROW_PHI = TestFunction(
+    lambda q, pts: (q + 1.0) * pts[:, 0], lambda q, pts: 0.0 * pts[:, 0], terminal_values={"truncated": -1.0}
+)
+
+
+@pytest.fixture(scope="module")
+def narrow_paths():
+    """The narrow-margin thermostat's paths run one by one from 20 in mode 0."""
+    model = narrow_margin_thermostat()
+    return model, [
+        simulate_path(
+            model, PathState.in_mode(0, [20.0]), NARROW["horizon"], NARROW["dt"],
+            rng_seed=NARROW["base_seed"], path_index=i,
+        )
+        for i in range(NARROW["n_paths"])
+    ]
+
+
+class TestResetTables:
+    """Terminal crossings go through the kernel's reset tables in one pass;
+    surface images, and the hit points that test functions and jump events
+    read, go by (mode, face) group."""
+
+    def test_single_paths_equal_ensembles_with_and_without_test_functions(self, narrow_paths):
+        model, trajs = narrow_paths
+        plain = ensemble(model, PointMass(0, [20.0]), **NARROW)
+        with_phi = ensemble(model, PointMass(0, [20.0]), test_functions=[NARROW_PHI], **NARROW)
+        for k, t in enumerate(NARROW["output_times"]):
+            at = int(np.argmin(np.abs(trajs[0].times - t)))
+            modes = np.array([traj.modes[at] for traj in trajs])
+            assert 0 < np.sum(modes == -1) < modes.size
+            for measure in (plain, with_phi):
+                assert measure.terminal_counts[k] == {"truncated": int(np.sum(modes == -1))}
+                for q in range(2):
+                    expected = np.array([traj.positions[at] for traj in trajs if traj.modes[at] == q])
+                    assert measure.mode_clouds[k][q].tobytes() == expected.tobytes(), (t, q)
+
+    def test_jump_events_add_up_to_the_ensemble_jump_sums(self, narrow_paths):
+        model, trajs = narrow_paths
+        record = ensemble(model, PointMass(0, [20.0]), test_functions=[NARROW_PHI], **NARROW).dynkin[0]
+        for i, traj in enumerate(trajs):
+            total = 0.0
+            for jump in traj.jumps:
+                post = jump.post
+                if post.terminal is None:
+                    after = NARROW_PHI.evaluate(post.mode, post.position)[0]
+                    assert post.mode == 1 - jump.mode and post.position.tobytes() == jump.point.tobytes()
+                else:
+                    after = NARROW_PHI.terminal_value(post.terminal)
+                    assert post.time == jump.time == traj.terminal_time
+                total += after - NARROW_PHI.evaluate(jump.mode, jump.point)[0]
+            assert record.jump_sum[-1, i] == total, i
+
+    def test_deaths_at_chunk_ends_independent_of_batch_size(self, narrow_paths):
+        model, trajs = narrow_paths
+        # a path's k-th step draws the k-th normals: one step per checkpoint,
+        # plus the rest of the step after each jump
+        steps = [
+            [int(np.ceil(jump.time / NARROW["dt"] - 1e-9)) + j for j, jump in enumerate(traj.jumps)]
+            for traj in trajs
+        ]
+        death_steps = {s[-1] for s, traj in zip(steps, trajs) if traj.terminal_id is not None}
+        # the 64th step is a chunk's last, the 65th the first after a refill
+        assert {64, 65} <= death_steps
+        kinds = {}
+        for s, traj in zip(steps, trajs):
+            for k, jump in zip(s, traj.jumps):
+                kinds.setdefault(k, set()).add(jump.post.terminal is None)
+        assert any(len(both) == 2 for both in kinds.values())   # surface and terminal in one step
+        base = ensemble(model, PointMass(0, [20.0]), test_functions=[NARROW_PHI], **NARROW)
+        for batch_size in (17, 1):
+            other = ensemble(
+                model, PointMass(0, [20.0]), test_functions=[NARROW_PHI], batch_size=batch_size, **NARROW
+            )
+            for k in range(3):
+                assert base.terminal_counts[k] == other.terminal_counts[k]
+                for q in range(2):
+                    assert base.mode_clouds[k][q].tobytes() == other.mode_clouds[k][q].tobytes()
+            for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+                assert np.array_equal(getattr(base.dynkin[0], name), getattr(other.dynkin[0], name)), name
 
 
 # model, start-position box valid in every mode
