@@ -19,6 +19,19 @@ matvec per step, clamping a negative boundary outflux through R;
 `stationary_density` is a sparse LU solve and the only place that loads
 scipy; `validate.flux_continuity_residual` reads B p and the one-sided rows
 of F p.
+
+Assembly also certifies positivity once per grid (Chang & Cooper 1970): when
+every off-diagonal entry of L_h and every entry of B and T is nonnegative,
+the step matrix I + dt L_h is entrywise nonnegative for dt up to
+`positivity_dt` = (1 - 1e-9) / max|diag L_h|, a Markov chain on cells.  In
+floating point each cell's step p_i + dt (L_h p)_i is then at least
+p_i (1 - (1 - 1e-9)(1 + u)^2) >= 0, since the rounded row sum never falls
+below its diagonal product, and B p >= 0 for p >= 0; so `evolve` skips its
+per-step checks there with bit-identical output.  Operators with
+cross-diffusion, cell Peclet numbers above 2 or negative entries of B get
+`positivity_dt` = 0 and keep them, as do steps beyond the diagonal limit,
+which 2D boxes with absorbing corner cells can reach below the stability
+bound.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ _ALIGN_REL_TOL = 1e-9
 _NEG_DENSITY_REL_TOL = 1e-12
 _NEG_OUTFLUX_REL_TOL = 1e-6
 _STABILITY_SAFETY = 0.45
+_POSITIVITY_MARGIN = 1e-9
 
 
 class SolverError(ValueError):
@@ -379,12 +393,25 @@ class DensityState:
 
 def total_mass(grid: GridLayout, density: DensityState) -> float:
     """Sum of cell masses plus terminal masses, in fixed summation order."""
+    _check_cells(grid, density)
     total = 0.0
     for q_idx, arr in enumerate(density.p):
         total += float(np.sum(arr)) * grid.mode_grids[q_idx].cell_volume
     for name in grid.model.terminal_states:
         total += density.q.get(name, 0.0)
     return total
+
+
+def _check_cells(grid: GridLayout, density: DensityState):
+    """Refuse a density whose mode arrays do not match the grid's cell counts."""
+    if len(density.p) != len(grid.mode_grids):
+        raise SolverError(
+            f"density has {len(density.p)} mode arrays, the grid has {len(grid.mode_grids)} modes"
+        )
+    for q_idx, (arr, mg) in enumerate(zip(density.p, grid.mode_grids)):
+        cells = int(np.prod(mg.shape))
+        if np.size(arr) != cells:
+            raise SolverError(f"mode {q_idx} density has {np.size(arr)} cells, the grid has {cells}")
 
 
 def project_density(grid: GridLayout, mode_fns: Sequence[Callable | None]) -> DensityState:
@@ -497,6 +524,8 @@ class ForwardOperator:
     terminal rows of R B.  Each face coefficient enters its two cells, or
     its source cell and its target cells or terminal, with opposite signs,
     so the volume-weighted column sums of [L_h; T] vanish up to rounding.
+    `positivity_dt` is the largest step certified to keep the density
+    nonnegative without checks (module docstring), 0.0 when none is.
     """
 
     shapes: tuple
@@ -509,6 +538,7 @@ class ForwardOperator:
     routing: tuple
     rate: tuple
     terminal: tuple
+    positivity_dt: float
 
     @property
     def n_cells(self) -> int:
@@ -615,18 +645,34 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
     rate = _join(rate + [[x[to_cell] for x in routed]])
     terminal = [x[~to_cell] for x in routed]
     terminal[0] = terminal[0] - n_cells
+    rate, outflux, terminal = (_coalesce(x, n_cells) for x in (rate, outflux, terminal))
     return ForwardOperator(
         shapes=shapes,
         offsets=offsets,
         n_faces=n_faces,
         current=_join(current),
         image_rows=image_rows,
-        outflux=_coalesce(outflux, n_cells),
+        outflux=outflux,
         outflux_edge=np.asarray(outflux_edge, dtype=int),
         routing=routing,
-        rate=_coalesce(rate, n_cells),
-        terminal=_coalesce(terminal, n_cells),
+        rate=rate,
+        terminal=terminal,
+        positivity_dt=_positivity_dt(rate, outflux, terminal),
     )
+
+
+def _positivity_dt(rate, outflux, terminal) -> float:
+    """Largest dt for which I + dt L_h, B and T are certified entrywise nonnegative.
+
+    (1 - 1e-9) / max|diag L_h| when every off-diagonal entry of L_h and every
+    entry of B and T is nonnegative, else 0: no dt is certified.
+    """
+    rows, cols, vals = rate
+    diag = rows == cols
+    if min(np.min(x, initial=0.0) for x in (vals[~diag], outflux[2], terminal[2])) < 0.0:
+        return 0.0
+    worst = float(np.max(np.abs(vals[diag]), initial=0.0))
+    return (1.0 - _POSITIVITY_MARGIN) / worst if worst > 0.0 else np.inf
 
 
 def _index(axis: int, along, tangential) -> tuple:
@@ -794,13 +840,27 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     Each step applies the grid's assembled forward operator to the pre-step
     density: the raw boundary outflux B p, the cell rates L_h p (image-face
     sources included) and the terminal rates T p, as one matvec of the
-    stacked operator [B; dt T; dt L_h] built once per call.  On a step where
-    some raw outflux is negative, the routing R clamps it to zero:
-    p += dt (L_h p - R min(B p, 0)), and likewise for the terminal masses.
-    A raw outflux below -1e-6 max|F p| raises NegativeOutflux instead.  Mass
-    is conserved after every step up to rounding; a density undershooting
-    the rounding band raises NegativeDensity.
+    stacked operator [B; dt T; dt L_h] built once per call, added to one
+    state vector [B slots | q | p].  Mass is conserved after every step up
+    to rounding.
+
+    When dt <= `ForwardOperator.positivity_dt` and the start density is
+    nonnegative, the step matrix is certified entrywise nonnegative and the
+    step is the matvec and the add alone.  No check could fire: each row of
+    dt L_h p sums one diagonal product, at least -(1 - 1e-9)(1 + u)^2 p_i in
+    floating point, with nonnegative off-diagonal products, so p_i plus it
+    stays nonnegative; and B p >= 0 because B >= 0 and p >= 0.  Operators
+    with cross-diffusion, cell Peclet numbers above 2 or negative entries
+    of B, steps beyond the diagonal limit (2D boxes with absorbing corner
+    cells) and densities with negative cells keep the per-step checks: a
+    negative raw outflux is clamped to zero through the routing R,
+    p += dt (L_h p - R min(B p, 0)), and likewise for the terminal masses,
+    or raises NegativeOutflux below -1e-6 max|F p|; a density undershooting
+    the rounding band raises NegativeDensity.  A non-integer n_steps, or mode
+    arrays whose sizes differ from the grid's cell counts, raise SolverError.
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise SolverError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 0:
         raise SolverError("n_steps must be >= 0")
     if not dt > 0.0:
@@ -808,37 +868,40 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     bound = grid.stability_bound()
     if dt > bound * (1.0 + 1e-12):
         raise StabilityViolation(f"dt {dt} exceeds the stability bound {bound:.6e}")
+    _check_cells(grid, density)
 
     op = grid.forward_operator()
     n = op.n_cells
     names = model.terminal_states
     n_b, n_t = op.outflux_edge.size, len(names)
+    head = n_b + n_t
     # rows [0, n_b) are B, then dt T, then dt L_h; each block keeps its entry
     # order, so every row sums the same terms in the same order as alone
     stacked = tuple(
         np.concatenate(parts)
         for parts in zip(
-            op.outflux,
-            (op.terminal[0] + n_b, op.terminal[1], dt * op.terminal[2]),
-            (op.rate[0] + (n_b + n_t), op.rate[1], dt * op.rate[2]),
+            (op.outflux[0], op.outflux[1] + head, op.outflux[2]),
+            (op.terminal[0] + n_b, op.terminal[1] + head, dt * op.terminal[2]),
+            (op.rate[0] + head, op.rate[1] + head, dt * op.rate[2]),
         )
     )
-    p = op.flatten(density.p)
-    q = np.array([density.q.get(name, 0.0) for name in names], dtype=float)
+    state = np.concatenate(
+        [np.zeros(n_b), [density.q.get(name, 0.0) for name in names], op.flatten(density.p)]
+    )
+    q, p = state[n_b:head], state[head:]
+    checked = not (dt <= op.positivity_dt and p.min(initial=0.0) >= 0.0)
     t = density.t
     for _ in range(n_steps):
-        out = _matvec(stacked, p, n_b + n_t + n)
+        out = _matvec(stacked, state, head + n)
         raw = out[:n_b]
-        if np.min(raw, initial=0.0) < 0.0:
+        if checked and np.min(raw, initial=0.0) < 0.0:
             _check_outflux(op, p, raw)
             clamp = _matvec(op.routing, np.minimum(raw, 0.0), n + n_t)
-            q += dt * (_matvec(op.terminal, p, n_t) - clamp[n:])
-            p += dt * (_matvec(op.rate, p, n) - clamp[:n])
-        else:
-            q += out[n_b : n_b + n_t]
-            p += out[n_b + n_t :]
+            out[n_b:head] = dt * (_matvec(op.terminal, p, n_t) - clamp[n:])
+            out[head:] = dt * (_matvec(op.rate, p, n) - clamp[:n])
+        state += out
         t += dt
-        if p.min() < 0.0:
+        if checked and p.min() < 0.0:
             tol = _NEG_DENSITY_REL_TOL * max(float(p.max()), 1e-300)
             for q_idx, arr in enumerate(op.split(p)):
                 worst = float(np.min(arr))

@@ -490,18 +490,22 @@ class TestEvolve:
     @pytest.mark.parametrize(
         "model, resolution, start, n_cells",
         [
-            (thermostat_1d(), thermostat_resolution(0.005), (0, 20.0, 0.05), 1312),
-            (gamblers_ruin_model(), 50, (0, 0.3, 0.05), 50),
+            (thermostat_1d, thermostat_resolution(0.005), lambda g: point_density(g, 0, 20.0, 0.05), 1312),
+            (gamblers_ruin_model, 50, lambda g: point_density(g, 0, 0.3, 0.05), 50),
+            (lambda: recurrent_two_mode_2d(), 8, lambda g: project_density(g, [blob_2d, None]), 128),
         ],
-        ids=["thermostat_1d", "gamblers_ruin"],
+        ids=["thermostat_1d", "gamblers_ruin", "recurrent_2d"],
     )
     def test_stacked_step_equals_separate_matvecs(self, model, resolution, start, n_cells):
-        # reference: B, dt T and dt L_h applied one at a time to the pre-step density
+        # reference: B, dt T and dt L_h applied one at a time to the pre-step
+        # density; the step matrix is certified, so evolve runs no check
+        model = model()
         grid = build_grid(model, resolution)
-        density = point_density(grid, *start)
+        density = start(grid)
         op = grid.forward_operator()
         assert op.n_cells == n_cells
         dt, n_steps = stable_dt(grid, 0.9), 2000
+        assert stable_dt(grid, 1.0) <= op.positivity_dt
         names = model.terminal_states
 
         def matvec(triplets, p, n_rows, scale=None):
@@ -520,6 +524,24 @@ class TestEvolve:
         assert [out.q[name] for name in names] == q.tolist()
         # mass left the start mode through a boundary: the B, T and reset rows all acted
         assert np.sum(out.p[0]) * grid.mode_grids[0].cell_volume < 0.99
+
+    def test_mismatched_cell_counts_refused(self):
+        model = gamblers_ruin_model()
+        grid = build_grid(model, 50)
+        for arrays, match in (([np.ones(40)], "mode 0 density has 40 cells"), ([], "0 mode arrays")):
+            density = DensityState(arrays, {"left": 0.0, "right": 0.0}, 0.0)
+            with pytest.raises(SolverError, match=match):
+                evolve(model, grid, density, stable_dt(grid, 0.9), 1)
+            with pytest.raises(SolverError, match=match):
+                total_mass(grid, density)
+
+    def test_non_integer_n_steps_refused(self):
+        model = gamblers_ruin_model()
+        grid = build_grid(model, 50)
+        density = point_density(grid, 0, 0.3, 0.05)
+        for n_steps in (2.0, "2", True):
+            with pytest.raises(SolverError, match="n_steps must be an integer"):
+                evolve(model, grid, density, stable_dt(grid, 0.9), n_steps)
 
     def test_stability_violation_raises(self):
         model = brownian_interval()
@@ -786,6 +808,25 @@ OPERATOR_CASES = {
 }
 
 
+def blob_2d(x):
+    return np.exp(-((x[..., 0] - 0.3) ** 2 + (x[..., 1] - 0.6) ** 2) / (2 * 0.15**2))
+
+
+# (model and resolution, dt as a fraction of the stability bound, certified)
+CERTIFICATE_CASES = {
+    "thermostat_1d dx 0.01": (lambda: (thermostat_1d(), thermostat_resolution(0.01)), 1.0, True),
+    "thermostat_1d dx 0.005": (lambda: (thermostat_1d(), thermostat_resolution(0.005)), 1.0, True),
+    "gamblers_ruin": (lambda: (gamblers_ruin_model(), 50), 1.0, True),
+    "recurrent_2d": (lambda: (recurrent_two_mode_2d(), 8), 1.0, True),
+    # cell Peclet number above 2
+    "thermostat_1d dx 0.02": (lambda: (thermostat_1d(), thermostat_resolution(0.02)), 1.0, False),
+    # cross-diffusion: negative entries of B and L_h
+    "sheared_box_2d": (lambda: (sheared_box_2d(), [(16, 24)]), 0.9, False),
+    # absorbing corner cells: dt max|diag L_h| = 1.24 > 1
+    "two_box_2d": (lambda: (Test2DTransfer().build_two_box_model(), [(20, 20), (40, 20)]), 0.9, False),
+}
+
+
 def sheared_box_2d():
     """One box with cross-diffusion, so the tangential stencil terms are nonzero.
 
@@ -971,6 +1012,26 @@ class TestForwardOperator:
         expected = np.append(flat, 0.0) + dt * three_point_response(grid, flat)
         got = np.append(op.flatten(out.p), out.q["truncated"])
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(flat)
+
+    @pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
+    def test_positivity_certificate(self, case):
+        build, fraction, certified = CERTIFICATE_CASES[case]
+        model, resolution = build()
+        grid = build_grid(model, resolution)
+        assert (stable_dt(grid, fraction) <= grid.forward_operator().positivity_dt) == certified
+
+    def test_uncertified_cross_diffusion_keeps_the_outflux_check(self):
+        # the tangential stencil term at an absorbing face gives B negative
+        # entries, so a centred Gaussian has a negative raw outflux at once
+        model = sheared_box_2d()
+        grid = build_grid(model, [(16, 24)])
+        assert grid.forward_operator().positivity_dt == 0.0
+        std = np.array([1.0, 2.0]) / 6.0
+        density = project_density(
+            grid, [lambda x: np.exp(-0.5 * np.sum(((x - [0.5, 1.0]) / std) ** 2, axis=-1))]
+        )
+        with pytest.raises(NegativeOutflux, match="edge 2"):
+            evolve(model, grid, density, stable_dt(grid, 0.9), 1)
 
     def test_negative_outflux_beyond_tolerance_refused_by_evolve(self):
         model = brownian_interval(0.0, 1.0)
