@@ -403,7 +403,8 @@ def total_mass(grid: GridLayout, density: DensityState) -> float:
 
 
 def _check_cells(grid: GridLayout, density: DensityState):
-    """Refuse a density whose mode arrays do not match the grid's cell counts."""
+    """Refuse a density whose mode arrays do not match the grid's cell counts,
+    or whose cells or terminal masses are not finite."""
     if len(density.p) != len(grid.mode_grids):
         raise SolverError(
             f"density has {len(density.p)} mode arrays, the grid has {len(grid.mode_grids)} modes"
@@ -412,6 +413,11 @@ def _check_cells(grid: GridLayout, density: DensityState):
         cells = int(np.prod(mg.shape))
         if np.size(arr) != cells:
             raise SolverError(f"mode {q_idx} density has {np.size(arr)} cells, the grid has {cells}")
+        if not np.all(np.isfinite(arr)):
+            raise SolverError(f"mode {q_idx} density has non-finite cells")
+    for name in grid.model.terminal_states:
+        if not np.isfinite(density.q.get(name, 0.0)):
+            raise SolverError(f"terminal {name!r} mass is not finite")
 
 
 def project_density(grid: GridLayout, mode_fns: Sequence[Callable | None]) -> DensityState:

@@ -28,9 +28,13 @@ per-path rows of per-mode tables: every model's face geometry and reset
 targets, plus the drift and noise coefficients when every drift is affine
 and every noise column constant; other fields are stepped mode by mode.
 Terminal exits apply in one pass; surface images go by (mode, face) group.
-The single-state `step`, `detect_hit` and `apply_reset` share the engine's
-batched implementations on a batch of one, and `simulate_path` runs the
-engine on a batch of one whose output times are all its checkpoints.
+The loop only steps: one recorder per run owns every path's output slots,
+the terms of the expectation identity (phi(X_0), phi(X_t), the integral of
+L phi and the jump sums) and the jump events, and each batch writes into
+its own columns of it.  The single-state `step`, `detect_hit` and
+`apply_reset` share the engine's batched implementations on a batch of one,
+and `simulate_path` runs the engine on a batch of one whose output times are
+all its checkpoints.
 """
 
 from __future__ import annotations
@@ -370,52 +374,91 @@ class _Kernel:
 # recording
 
 
-class _BatchRecorder:
-    """Output-time slots for one batch, indexed by original path position."""
+class _Recorder:
+    """A run's output slots and expectation-identity terms, one column per path.
 
-    def __init__(self, n_out, batch, dim, model, test_functions):
-        self.n_out = n_out
-        self.mode_at = np.full((n_out, batch), _MODE_UNSET, dtype=np.int64)
-        self.pos_at = np.full((n_out, batch, dim), np.nan)
-        self.term_at = np.full((n_out, batch), -1, dtype=np.int64)
-        self.out_pos = np.zeros(batch, dtype=np.int64)
-        self.model = model
+    The mode, position and terminal slots, phi(X_0), and per output time
+    phi(X_t), the integral of L phi and the jump sum, for every registered
+    test function.  A batch opens with `start` at its first column; its
+    running integrals have one entry per batch row and are compacted with
+    the rows.  Jump events are collected when `events` is set.
+    """
+
+    def __init__(self, model, n_out, n_paths, test_functions=(), events=False):
+        self.model, self.n_out = model, n_out
         self.phis = list(test_functions)
-        if self.phis:
-            self.phi0 = np.zeros((len(self.phis), batch))
-            self.phi_t = np.zeros((len(self.phis), n_out, batch))
-            self.intL_at = np.zeros((len(self.phis), n_out, batch))
-            self.jsum_at = np.zeros((len(self.phis), n_out, batch))
+        self.jumps = [] if events else None
+        self.mode_at = np.full((n_out, n_paths), _MODE_UNSET, dtype=np.int64)
+        self.pos_at = np.full((n_out, n_paths, model.dimension), np.nan)
+        self.term_at = np.full((n_out, n_paths), -1, dtype=np.int64)
+        self.out_pos = np.zeros(n_paths, dtype=np.int64)
+        self.phi0 = np.zeros((len(self.phis), n_paths))
+        self.phi_t, self.intL_at, self.jsum_at = np.zeros((3, len(self.phis), n_out, n_paths))
 
-    def phi_value(self, k, modes, positions, terminals):
-        """phi evaluated on a mixed batch of in-mode and terminal states."""
+    def _value(self, k, modes, positions, terminals):
+        """phi_k evaluated on a mixed batch of in-mode and terminal states."""
         phi = self.phis[k]
         vals = _by_mode(phi.evaluate, modes, positions)
-        names = self.model.terminal_states
         term_sel = modes == _MODE_TERMINAL
-        vals[term_sel] = [phi.terminal_value(names[t]) for t in terminals[term_sel]]
+        vals[term_sel] = [phi.terminal_value(self.model.terminal_states[t]) for t in terminals[term_sel]]
         return vals
 
-    def record(self, orig_idx, modes, positions, terminals, intL_vals, jsum_vals, to_end=False):
-        """Fill the next output slot of the given (original) paths.
+    def start(self, col, mode, pos, term):
+        """Open a batch whose rows fill columns col, col + 1, ..."""
+        self.cols = col + np.arange(mode.size)
+        self.intL, self.jsum = np.zeros((2, len(self.phis), mode.size))
+        for k in range(len(self.phis)):
+            self.phi0[k, self.cols] = self._value(k, mode, pos, term)
+
+    def compact(self, keep):
+        self.cols, self.intL, self.jsum = self.cols[keep], self.intL[:, keep], self.jsum[:, keep]
+
+    def segments(self, mode, start, end, length, crossed, frac, hit_pts):
+        """Trapezoid rule for the integral of L phi over each row's step,
+        truncated at the hit point on crossing rows."""
+        if not self.phis:
+            return
+        if crossed.size:
+            end, length = end.copy(), length.copy()
+            end[crossed] = hit_pts
+            length[crossed] = frac * length[crossed]
+        for k, phi in enumerate(self.phis):
+            seg_L = _by_mode(phi.generator, mode, start) + _by_mode(phi.generator, mode, end)
+            self.intL[k] += 0.5 * seg_L * length
+
+    def reset(self, rows, q, f, pts, tau, target, image):
+        """Jump sums and jump events of one (mode, face) group of resets at
+        hit points pts and times tau; image is None for a terminal exit."""
+        for k, phi in enumerate(self.phis):
+            after = phi.terminal_value(target.terminal) if image is None else phi.evaluate(target.mode, image)
+            self.jsum[k, rows] += after - phi.evaluate(q, pts)
+        if self.jumps is not None:
+            for j, tau_j in enumerate(tau.tolist()):
+                state = (PathState.at_terminal(target.terminal, tau_j) if image is None
+                         else PathState.in_mode(target.mode, image[j], tau_j))
+                self.jumps.append(JumpEvent(tau_j, q, f, pts[j].copy(), state))
+
+    def record(self, rows, mode, pos, term, to_end=False):
+        """Fill the next output slot of the given batch rows.
 
         With to_end, fill every remaining slot instead: dead paths keep their
         state for every remaining output time.
         """
-        first = self.out_pos[orig_idx]
+        cols = self.cols[rows]
+        first = self.out_pos[cols]
         counts = self.n_out - first if to_end else np.ones_like(first)
-        # one entry per (path, slot): path i fills slots first[i] .. first[i] + counts[i] - 1
-        rows = np.repeat(np.arange(first.size), counts)
-        slots = np.arange(rows.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        cols = orig_idx[rows]
-        self.mode_at[slots, cols] = modes[rows]
-        self.pos_at[slots, cols] = positions[rows]
-        self.term_at[slots, cols] = terminals[rows]
+        # one entry per (row, slot): row i fills slots first[i] .. first[i] + counts[i] - 1
+        rep = np.repeat(np.arange(first.size), counts)
+        slots = np.arange(rep.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        at, at_cols = rows[rep], cols[rep]
+        self.mode_at[slots, at_cols] = mode[at]
+        self.pos_at[slots, at_cols] = pos[at]
+        self.term_at[slots, at_cols] = term[at]
         for k in range(len(self.phis)):
-            self.phi_t[k, slots, cols] = self.phi_value(k, modes, positions, terminals)[rows]
-            self.intL_at[k, slots, cols] = intL_vals[k][rows]
-            self.jsum_at[k, slots, cols] = jsum_vals[k][rows]
-        self.out_pos[orig_idx] = first + counts
+            self.phi_t[k, slots, at_cols] = self._value(k, mode[rows], pos[rows], term[rows])[rep]
+            self.intL_at[k, slots, at_cols] = self.intL[k, at]
+            self.jsum_at[k, slots, at_cols] = self.jsum[k, at]
+        self.out_pos[cols] = first + counts
 
 
 def _check_time_grid(horizon: float, dt: float):
@@ -520,46 +563,33 @@ def _streams(base_seed: int, idx: np.ndarray) -> list:
     return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(idx.size)]
 
 
-def _check_counts(base_seed, last_index, zeno_cap, batch_size=1) -> None:
-    """Integer run inputs: stream keys (seed >= 0, path index < 2**32), jump cap and batch size >= 1."""
-    for name, value, lo, hi in (
-        ("seed", base_seed, 0, np.inf),
-        ("path index", last_index, 0, 2**32),
-        ("zeno_cap", zeno_cap, 1, np.inf),
-        ("batch_size", batch_size, 1, np.inf),
-    ):
-        if not isinstance(value, (int, np.integer)) or not lo <= value < hi:
-            raise SimulationError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+def _check_counts(base_seed, first_index, n_paths, zeno_cap, batch_size=1) -> None:
+    """Integer run inputs, bools refused: stream keys (seed >= 0, path indices
+    first_index .. first_index + n_paths - 1 below 2**32), jump cap and batch size >= 1."""
+    for name, value, lo in (("seed", base_seed, 0), ("path index", first_index, 0), ("n_paths", n_paths, 0),
+                            ("zeno_cap", zeno_cap, 1), ("batch_size", batch_size, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+            raise SimulationError(f"{name} must be an integer >= {lo}, got {value!r}")
+    last = int(first_index) + int(n_paths) - 1
+    if last >= 2**32:
+        raise SimulationError(f"path index must be below 2**32, got {last}")
 
 
 # ---------------------------------------------------------------------------
 # the batched engine
 
 
-def _run_batch(
-    model: HybridModel,
-    initial_law,
-    index_range,
-    base_seed,
-    checkpoints,
-    out_of_cp,
-    n_out,
-    dt,
-    zeno_cap,
-    test_functions,
-    jumps=None,
-):
-    """Advance paths index_range in lockstep; returns their filled _BatchRecorder.
+def _run_batch(model: HybridModel, initial_law, index_range, base_seed, checkpoints, out_of_cp, dt,
+               zeno_cap, rec: _Recorder, col: int):
+    """Advance the paths of index_range in lockstep into rec's columns col, col + 1, ...
 
-    out_of_cp maps each checkpoint to its output slot (-1 for none); jump
-    events are appended to `jumps` unless it is None.
+    out_of_cp maps each checkpoint to its output slot (-1 for none).
     """
     d = model.dimension
     lo_idx, hi_idx = index_range
     batch = hi_idx - lo_idx
     gens = _streams(base_seed, np.arange(lo_idx, hi_idx))
     kernel = _Kernel(model)
-    n_phi = len(test_functions)
 
     # a path's initial-law normals and its first noise chunk come from one
     # draw call; split draws concatenate, so the stream layout is unchanged
@@ -572,7 +602,6 @@ def _run_batch(
     cursor = 0
 
     # path state per row; a dead row has a negative mode until it is compacted away
-    orig = np.arange(batch, dtype=np.int64)
     mode = np.full(batch, initial_law.mode, dtype=np.int64)
     pos = np.zeros((batch, d))
     if gaussian:
@@ -587,14 +616,10 @@ def _run_batch(
     term = np.full(batch, -1, dtype=np.int64)
     n_jumps = np.zeros(batch, dtype=np.int64)
     next_cp = np.ones(batch, dtype=np.int64)
-    intL = np.zeros((n_phi, batch))
-    jsum = np.zeros((n_phi, batch))
 
-    rec = _BatchRecorder(n_out, batch, d, model, test_functions)
-    for k in range(n_phi):
-        rec.phi0[k] = rec.phi_value(k, mode, pos, term)
+    rec.start(col, mode, pos, term)
     if out_of_cp[0] >= 0:
-        rec.record(orig, mode, pos, term, intL, jsum)
+        rec.record(np.arange(batch), mode, pos, term)
 
     n_cp = len(checkpoints)
     # checkpoints where an arrival does work: output times and the horizon
@@ -602,7 +627,7 @@ def _run_batch(
     is_stop[-1] = True
     n_dead = 0
 
-    while n_dead < orig.size:
+    while n_dead < mode.size:
         if cursor == buf.shape[1]:
             if n_dead:
                 # the buffer holds no unread noise, so the dead rows go now: the
@@ -611,11 +636,11 @@ def _run_batch(
                 gens = list(compress(gens, keep))
                 buf = buf[: len(gens)]
                 n_dead = 0
-                orig, mode, pos, t, term, n_jumps, next_cp = (
-                    row[keep] for row in (orig, mode, pos, t, term, n_jumps, next_cp)
+                mode, pos, t, term, n_jumps, next_cp = (
+                    row[keep] for row in (mode, pos, t, term, n_jumps, next_cp)
                 )
-                intL, jsum = intL[:, keep], jsum[:, keep]
                 kernel.compact(keep)
+                rec.compact(keep)
             for row, gen in zip(buf, gens):
                 gen.standard_normal(out=row)
             cursor = 0
@@ -637,21 +662,12 @@ def _run_batch(
         for k in range(1, ge.shape[1]):
             hit |= ge[:, k] >= 0.0
         crossed = np.flatnonzero(hit & (mode >= 0))
+        s = hit_pts = None
         if crossed.size:
             gs = kernel.gaps(start_pos[crossed], crossed)
             s, faces = _first_crossing(gs, ge[crossed])
             hit_pts = start_pos[crossed] + s[:, None] * (theta_new[crossed] - start_pos[crossed])
-
-        if n_phi:
-            # trapezoid rule for the integral of L phi over the step,
-            # truncated at the hit point on crossing paths
-            seg_end, seg_len = theta_new.copy(), delta.copy()
-            if crossed.size:
-                seg_end[crossed] = hit_pts
-                seg_len[crossed] = s * delta[crossed]
-            for k, phi in enumerate(test_functions):
-                seg_L = _by_mode(phi.generator, mode, start_pos) + _by_mode(phi.generator, mode, seg_end)
-                intL[k] += 0.5 * seg_L * seg_len
+        rec.segments(mode, start_pos, theta_new, delta, crossed, s, hit_pts)
 
         # commit the common case: land exactly on the next checkpoint
         pos = theta_new
@@ -667,27 +683,20 @@ def _run_batch(
 
             # the reset tables apply every crossing at once; surface images go
             # by (mode, face) group, in that order, and so do terminal exits
-            # when test functions or jump events read their hit points
+            # when the recorder reads their hit points for jump sums or events
             keys = mode[crossed] * kernel.f_max + faces
             post = kernel.post_mode[keys]
             term[crossed] = kernel.post_term[keys]
             pos[crossed[post == _MODE_TERMINAL]] = np.nan
-            grouped = keys if n_phi or jumps is not None else keys[post != _MODE_TERMINAL]
+            grouped = keys if rec.phis or rec.jumps is not None else keys[post != _MODE_TERMINAL]
             for key in np.unique(grouped).tolist():
                 q, f = divmod(key, kernel.f_max)
                 sel = np.flatnonzero(keys == key)
-                rows = crossed[sel]
                 pts = _onto_face(model.modes[q].domain, f, hit_pts[sel])
                 target, image = _reset(model, q, f, pts)
                 if image is not None:
-                    pos[rows] = image
-                for k, phi in enumerate(test_functions):
-                    jsum[k, rows] += rec.phi_value(k, post[sel], pos[rows], term[rows]) - phi.evaluate(q, pts)
-                if jumps is not None:
-                    for j, tau_j in enumerate(tau[sel].tolist()):
-                        state = (PathState.at_terminal(target.terminal, tau_j) if image is None
-                                 else PathState.in_mode(target.mode, image[j], tau_j))
-                        jumps.append(JumpEvent(tau_j, q, f, pts[j].copy(), state))
+                    pos[crossed[sel]] = image
+                rec.reset(crossed[sel], q, f, pts, tau[sel], target, image)
 
             # zeno guard: flag paths that exhausted their jump budget
             post[(n_jumps[crossed] >= zeno_cap) & (post >= 0)] = _MODE_ZENO
@@ -696,10 +705,7 @@ def _run_batch(
 
             newly_dead = crossed[~live]
             if newly_dead.size:
-                rec.record(
-                    orig[newly_dead], post[~live], pos[newly_dead], term[newly_dead],
-                    intL[:, newly_dead], jsum[:, newly_dead], to_end=True,
-                )
+                rec.record(newly_dead, mode, pos, term, to_end=True)
                 n_dead += newly_dead.size
 
             live_hits = crossed[live]
@@ -723,15 +729,10 @@ def _run_batch(
             slots = out_of_cp[arrived]
             with_out = arrivals[slots >= 0]
             if with_out.size:
-                rec.record(
-                    orig[with_out], mode[with_out], pos[with_out], term[with_out],
-                    intL[:, with_out], jsum[:, with_out],
-                )
+                rec.record(with_out, mode, pos, term)
             done = arrivals[arrived == n_cp - 1]
             mode[done] = _MODE_UNSET
             n_dead += done.size
-
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +756,7 @@ def simulate_path(
     _check_time_grid(horizon, dt)
     if zeno_cap is None:
         zeno_cap = default_zeno_cap(horizon)
-    _check_counts(rng_seed, path_index, zeno_cap)
+    _check_counts(rng_seed, path_index, 1, zeno_cap)
 
     checkpoints, _ = _checkpoints(horizon, dt, [])
     n_cp = len(checkpoints)
@@ -769,18 +770,18 @@ def simulate_path(
             terminal_time=initial.time, zeno_flag=False,
         )
 
-    jumps: list = []
-    res = _run_batch(
+    rec = _Recorder(model, n_cp, 1, events=True)
+    _run_batch(
         model, PointMass(initial.mode, initial.position), (path_index, path_index + 1), rng_seed,
-        checkpoints, np.arange(n_cp), n_cp, dt, zeno_cap, (), jumps,
+        checkpoints, np.arange(n_cp), dt, zeno_cap, rec, 0,
     )
-    modes = res.mode_at[:, 0]
-    positions = res.pos_at[:, 0]
+    modes = rec.mode_at[:, 0]
+    positions = rec.pos_at[:, 0]
     positions[modes < 0] = np.nan
     # the last jump tells how the path was absorbed, if it was
-    end = jumps[-1].post if jumps else initial
+    end = rec.jumps[-1].post if rec.jumps else initial
     return Trajectory(
-        checkpoints, modes, positions, jumps, terminal_id=end.terminal,
+        checkpoints, modes, positions, rec.jumps, terminal_id=end.terminal,
         terminal_time=end.time if end.terminal is not None else None,
         zeno_flag=bool(modes[-1] == _MODE_ZENO),
     )
@@ -805,12 +806,10 @@ def ensemble(
     Zeno-flagged paths are counted separately and excluded from the mode
     clouds and terminal counts.
     """
-    if n_paths < 0:
-        raise SimulationError("n_paths must be >= 0")
     _check_time_grid(horizon, dt)
     if zeno_cap is None:
         zeno_cap = default_zeno_cap(horizon)
-    _check_counts(base_seed, max(n_paths - 1, 0), zeno_cap, batch_size)
+    _check_counts(base_seed, 0, n_paths, zeno_cap, batch_size)
     out_times = np.asarray(sorted(output_times), dtype=float)
     if out_times.size == 0:
         raise SimulationError("at least one output time is required")
@@ -823,37 +822,21 @@ def ensemble(
         out_of_cp[idx] = k
     n_out = out_times.size
 
-    if n_paths == 0:
-        return EmpiricalMeasure(
-            out_times,
-            [[np.zeros((0, model.dimension)) for _ in model.modes] for _ in range(n_out)],
-            [dict() for _ in range(n_out)],
-            np.zeros(n_out, dtype=np.int64),
-            0,
-            base_seed,
-        )
-
-    results = [
+    rec = _Recorder(model, n_out, n_paths, test_functions)
+    for lo in range(0, n_paths, batch_size):
         _run_batch(
             model, initial_law, (lo, min(lo + batch_size, n_paths)), base_seed, checkpoints,
-            out_of_cp, n_out, dt, zeno_cap, tuple(test_functions),
+            out_of_cp, dt, zeno_cap, rec, lo,
         )
-        for lo in range(0, n_paths, batch_size)
-    ]
 
-    mode_at = np.concatenate([r.mode_at for r in results], axis=1)
-    pos_at = np.concatenate([r.pos_at for r in results], axis=1)
-    term_at = np.concatenate([r.term_at for r in results], axis=1)
-
+    mode_at, pos_at, term_at = rec.mode_at, rec.pos_at, rec.term_at
     mode_clouds = []
     terminal_counts = []
     zeno_counts = np.zeros(n_out, dtype=np.int64)
     names = model.terminal_states
     for k in range(n_out):
-        clouds = [
-            pos_at[k][mode_at[k] == q].copy() for q in range(len(model.modes))
-        ]
-        mode_clouds.append(clouds)
+        # boolean indexing copies, so no cloud holds on to the slots
+        mode_clouds.append([pos_at[k][mode_at[k] == q] for q in range(len(model.modes))])
         counts = {}
         t_sel = mode_at[k] == _MODE_TERMINAL
         if np.any(t_sel):
@@ -862,18 +845,10 @@ def ensemble(
         terminal_counts.append(counts)
         zeno_counts[k] = int(np.sum(mode_at[k] == _MODE_ZENO))
 
-    dynkin = []
-    for k_phi in range(len(test_functions)):
-        dynkin.append(
-            DynkinRecord(
-                phi0=np.concatenate([r.phi0[k_phi] for r in results]),
-                phi_t=np.concatenate([r.phi_t[k_phi] for r in results], axis=1),
-                int_generator=np.concatenate([r.intL_at[k_phi] for r in results], axis=1),
-                jump_sum=np.concatenate([r.jsum_at[k_phi] for r in results], axis=1),
-                alive=mode_at != _MODE_ZENO,
-                phi=test_functions[k_phi],
-            )
-        )
+    dynkin = [
+        DynkinRecord(rec.phi0[k], rec.phi_t[k], rec.intL_at[k], rec.jsum_at[k], mode_at != _MODE_ZENO, phi)
+        for k, phi in enumerate(rec.phis)
+    ]
 
     return EmpiricalMeasure(
         out_times, mode_clouds, terminal_counts, zeno_counts, n_paths, base_seed, dynkin

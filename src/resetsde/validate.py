@@ -228,11 +228,7 @@ def dynkin_residual(model: HybridModel, measure: EmpiricalMeasure, phi: TestFunc
     with the standard error of that per-path combination.  Zeno-flagged paths
     are excluded.
     """
-    record = None
-    for k, rec in enumerate(measure.dynkin):
-        if getattr(rec, "phi", None) is phi or rec is phi:
-            record = rec
-            break
+    record = next((rec for rec in measure.dynkin if rec.phi is phi), None)
     if record is None:
         if len(measure.dynkin) == 0:
             raise MissingPathIntegrals(

@@ -535,6 +535,27 @@ class TestEvolve:
             with pytest.raises(SolverError, match=match):
                 total_mass(grid, density)
 
+    def test_non_finite_cell_refused(self):
+        # one NaN cell used to spread to 11 cells in 5 steps without an error
+        model = gamblers_ruin_model()
+        grid = build_grid(model, 50)
+        density = point_density(grid, 0, 0.3, 0.05)
+        density.p[0].flat[20] = np.nan
+        with pytest.raises(SolverError, match="mode 0 density has non-finite cells"):
+            evolve(model, grid, density, stable_dt(grid, 0.9), 5)
+        with pytest.raises(SolverError, match="mode 0 density has non-finite cells"):
+            total_mass(grid, density)
+
+    def test_non_finite_terminal_mass_refused(self):
+        model = gamblers_ruin_model()
+        grid = build_grid(model, 50)
+        density = point_density(grid, 0, 0.3, 0.05)
+        density.q["left"] = np.inf
+        with pytest.raises(SolverError, match="terminal 'left' mass is not finite"):
+            evolve(model, grid, density, stable_dt(grid, 0.9), 5)
+        with pytest.raises(SolverError, match="terminal 'left' mass is not finite"):
+            total_mass(grid, density)
+
     def test_non_integer_n_steps_refused(self):
         model = gamblers_ruin_model()
         grid = build_grid(model, 50)

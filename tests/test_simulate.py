@@ -47,7 +47,7 @@ from resetsde.simulate import (
     simulate_path,
     step,
 )
-from resetsde.validate import TestFunction
+from resetsde.validate import TestFunction, ValidationError, dynkin_residual
 from test_acceptance import thermostat_phi
 
 
@@ -341,7 +341,7 @@ class TestSimulatePath:
         assert traj.zeno_flag
         assert len(traj.jumps) == cap
 
-    @pytest.mark.parametrize("cap", [0, -5, 2.5])
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True])
     def test_refuses_a_zeno_cap_below_one_or_fractional(self, cap):
         with pytest.raises(SimulationError, match="zeno_cap"):
             simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), 0.1, 1e-2, 1, zeno_cap=cap)
@@ -393,6 +393,14 @@ class TestEnsemble:
         )
         assert measure.size == 0
         assert measure.mode_clouds[0][0].shape == (0, 1)
+        # with a registered test function the record exists and is empty
+        phi = ruin_phi()
+        measure = ensemble(
+            model, PointMass(0, [0.3]), 0, 1.0, 1e-2, [0.5, 1.0], base_seed=1, test_functions=[phi]
+        )
+        assert measure.dynkin[0].phi is phi and measure.dynkin[0].phi_t.shape == (2, 0)
+        with pytest.raises(ValidationError, match="no live paths"):
+            dynkin_residual(model, measure, phi, 1.0)
 
     def test_bitwise_reproducible(self):
         model = thermostat_model()
@@ -432,13 +440,17 @@ class TestEnsemble:
     @pytest.mark.parametrize("key, value", [
         ("zeno_cap", 0), ("zeno_cap", -5), ("zeno_cap", 2.5),
         ("batch_size", 0), ("batch_size", -3), ("batch_size", 2.5),
+        ("zeno_cap", True), ("batch_size", True),
+        ("n_paths", -1), ("n_paths", True), ("n_paths", 2.5), ("n_paths", "3"),
     ])
     def test_refuses_counts_below_one_or_fractional(self, key, value):
         # zeno_cap 0 used to flag every path at its first reset; batch_size 0
-        # and -3 failed inside range() and np.concatenate
+        # and -3 failed inside range() and np.concatenate; n_paths True gave a
+        # measure of size True, 2.5 was refused as path index 1.5 and "3"
+        # raised a TypeError
+        kwargs = dict(n_paths=20, horizon=0.1, dt=1e-2, output_times=[0.1], base_seed=1)
         with pytest.raises(SimulationError, match=key):
-            ensemble(thermostat_model(), PointMass(0, [20.0]), 20, 0.1, 1e-2, [0.1], base_seed=1,
-                     **{key: value})
+            ensemble(thermostat_model(), PointMass(0, [20.0]), **{**kwargs, key: value})
 
     def test_dynkin_records_independent_of_batch_size(self):
         model = thermostat_model()
@@ -583,6 +595,21 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak / n < 1_440, peak / n
+
+    def test_memory_per_path_is_bounded_across_batches(self):
+        # one recorder for the run: about 165 B per path here, against 272 with a
+        # recorder per batch concatenated at the end
+        model, law, n = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01), 20_000
+        times = [0.1, 0.25, 0.5, 1.0, 2.0]
+        ensemble(model, law, 10, 2.0, 1e-3, times, base_seed=1)   # imports stay outside the peak
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ensemble(model, law, n, 2.0, 1e-3, times, base_seed=1, batch_size=500)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 200, peak / n
 
     def test_repeated_output_time_rejected(self):
         # one output slot per checkpoint: a repeated time would leave a slot
@@ -818,12 +845,12 @@ class TestStreams:
         expected = start + sigma * math.sqrt(dt) * normals[2:].reshape(k, 2).sum(axis=0)
         assert np.max(np.abs(measure.mode_clouds[1][0][idx] - expected)) < 1e-12
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_ensemble_refuses_a_bad_seed(self, seed):
         with pytest.raises(SimulationError, match="seed"):
             ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 4, 0.1, 1e-2, [0.1], base_seed=seed)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_simulate_path_refuses_a_bad_seed(self, seed):
         with pytest.raises(SimulationError, match="seed"):
             simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), 0.1, 1e-2, rng_seed=seed)
