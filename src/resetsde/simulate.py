@@ -39,6 +39,9 @@ all its checkpoints.
 
 from __future__ import annotations
 
+import ctypes
+import mmap
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Sequence
@@ -563,6 +566,17 @@ def _streams(base_seed: int, idx: np.ndarray) -> list:
     return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(idx.size)]
 
 
+def _own_pages(rows: int, cols: int) -> np.ndarray:
+    """Zeroed floats on a mapping of their own, off the malloc heap (README: the noise
+    buffer); while tracemalloc traces (Track returns 0), reported as numpy reports its buffers."""
+    pages = mmap.mmap(-1, rows * cols * 8, flags=mmap.MAP_PRIVATE)
+    out = np.frombuffer(pages).reshape(rows, cols)
+    domain, addr = ctypes.c_uint(np.lib.tracemalloc_domain), ctypes.c_size_t(out.ctypes.data)
+    if ctypes.pythonapi.PyTraceMalloc_Track(domain, addr, ctypes.c_size_t(out.nbytes)) == 0:
+        weakref.finalize(pages, ctypes.pythonapi.PyTraceMalloc_Untrack, domain, addr)
+    return out
+
+
 def _check_counts(base_seed, first_index, n_paths, zeno_cap, batch_size=1) -> None:
     """Integer run inputs, bools refused: stream keys (seed >= 0, path indices
     first_index .. first_index + n_paths - 1 below 2**32), jump cap and batch size >= 1."""
@@ -595,7 +609,7 @@ def _run_batch(model: HybridModel, initial_law, index_range, base_seed, checkpoi
     # draw call; split draws concatenate, so the stream layout is unchanged
     gaussian = isinstance(initial_law, GaussianInitial)
     n_init = initial_law.mean.size if gaussian else 0
-    draws = np.empty((batch, n_init + _CHUNK_STEPS * d))
+    draws = _own_pages(batch, n_init + _CHUNK_STEPS * d)
     for row, gen in zip(draws, gens):
         gen.standard_normal(out=row)
     buf = draws[:, n_init:]  # noise chunk, one row per state row
@@ -765,10 +779,7 @@ def simulate_path(
         # terminal initial states stay put (no dynamics, no jumps)
         modes = np.full(n_cp, _MODE_TERMINAL, dtype=np.int64)
         positions = np.full((n_cp, model.dimension), np.nan)
-        return Trajectory(
-            checkpoints, modes, positions, [], terminal_id=initial.terminal,
-            terminal_time=initial.time, zeno_flag=False,
-        )
+        return Trajectory(checkpoints, modes, positions, [], initial.terminal, initial.time)
 
     rec = _Recorder(model, n_cp, 1, events=True)
     _run_batch(
@@ -818,8 +829,7 @@ def ensemble(
     if np.unique(out_idx).size < out_idx.size:
         raise SimulationError("output times must be distinct")
     out_of_cp = np.full(len(checkpoints), -1, dtype=np.int64)
-    for k, idx in enumerate(out_idx):
-        out_of_cp[idx] = k
+    out_of_cp[out_idx] = np.arange(out_idx.size)
     n_out = out_times.size
 
     rec = _Recorder(model, n_out, n_paths, test_functions)
@@ -829,21 +839,14 @@ def ensemble(
             out_of_cp, dt, zeno_cap, rec, lo,
         )
 
-    mode_at, pos_at, term_at = rec.mode_at, rec.pos_at, rec.term_at
-    mode_clouds = []
-    terminal_counts = []
-    zeno_counts = np.zeros(n_out, dtype=np.int64)
-    names = model.terminal_states
+    mode_at, names = rec.mode_at, model.terminal_states
+    mode_clouds, terminal_counts = [], []
     for k in range(n_out):
         # boolean indexing copies, so no cloud holds on to the slots
-        mode_clouds.append([pos_at[k][mode_at[k] == q] for q in range(len(model.modes))])
-        counts = {}
-        t_sel = mode_at[k] == _MODE_TERMINAL
-        if np.any(t_sel):
-            binc = np.bincount(term_at[k][t_sel], minlength=len(names))
-            counts = {names[i]: int(c) for i, c in enumerate(binc) if c > 0}
-        terminal_counts.append(counts)
-        zeno_counts[k] = int(np.sum(mode_at[k] == _MODE_ZENO))
+        mode_clouds.append([rec.pos_at[k][mode_at[k] == q] for q in range(len(model.modes))])
+        binc = np.bincount(rec.term_at[k][mode_at[k] == _MODE_TERMINAL], minlength=len(names))
+        terminal_counts.append({names[i]: int(c) for i, c in enumerate(binc) if c > 0})
+    zeno_counts = np.count_nonzero(mode_at == _MODE_ZENO, axis=1)
 
     dynkin = [
         DynkinRecord(rec.phi0[k], rec.phi_t[k], rec.intL_at[k], rec.jsum_at[k], mode_at != _MODE_ZENO, phi)

@@ -34,6 +34,7 @@ from resetsde.simulate import (
     CharacteristicFaceHit,
     SimulationError,
     _checkpoints,
+    _own_pages,
     _pcg_seeds,
     _streams,
     GaussianInitial,
@@ -610,6 +611,23 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak / n < 200, peak / n
+
+    def test_noise_buffer_is_traced_while_it_lives(self):
+        # the buffer's own mapping is reported to tracemalloc, so the memory
+        # tests above see it, and withdrawn when it is unmapped
+        size = 1_000 * 65 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            buf = _own_pages(1_000, 65)
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert buf.shape == (1_000, 65) and buf.flags.writeable and not buf.any()
+            del buf
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held >= size, held
+        assert held - left >= size, (held, left)
 
     def test_repeated_output_time_rejected(self):
         # one output slot per checkpoint: a repeated time would leave a slot
