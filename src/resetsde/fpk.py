@@ -14,11 +14,11 @@ one sparse forward operator (`GridLayout.forward_operator`): face currents F,
 boundary outflux B (the boundary rows of F, signed outward), the routing R
 of each boundary face's outflux to its edge cell and the two cells beside
 its image face or its terminal, cell rates L_h = div F + R B and terminal
-rates T.  It is the only implementation of the update: `evolve` is a numpy
-matvec per step, clamping a negative boundary outflux through R;
-`stationary_density` is a sparse LU solve and the only place that loads
-scipy; `validate.flux_continuity_residual` reads B p and the one-sided rows
-of F p.
+rates T.  It is the only implementation of the update: `evolve` steps by its
+banded form (full diagonals as shifted slices), clamping a negative outflux
+through R; `stationary_density` is a sparse LU solve and the only place that
+loads scipy; `validate.flux_continuity_residual` reads B p and the one-sided
+rows of F p.
 
 Assembly also certifies positivity once per grid (Chang & Cooper 1970): when
 every off-diagonal entry of L_h and every entry of B and T is nonnegative,
@@ -53,6 +53,7 @@ _NEG_DENSITY_REL_TOL = 1e-12
 _NEG_OUTFLUX_REL_TOL = 1e-6
 _STABILITY_SAFETY = 0.45
 _POSITIVITY_MARGIN = 1e-9
+_BAND_MIN_ROWS = 512   # shorter diagonals step faster by bincount (BENCH_14.json)
 
 
 class SolverError(ValueError):
@@ -573,6 +574,44 @@ def _matvec(triplets, p: np.ndarray, n_rows: int) -> np.ndarray:
     return np.bincount(rows, vals * p[cols], minlength=n_rows)
 
 
+class _BandedStep:
+    """`_matvec` of row-sorted, coalesced triplets, their full diagonals as bands (see `evolve`)."""
+
+    def __init__(self, rows, cols, size):
+        shift = cols - rows
+        offsets, counts = np.unique(shift, return_counts=True)
+        bands = offsets[counts >= _BAND_MIN_ROWS]
+        self.size, self.lo = size, max(0, -int(bands.min(initial=0)))
+        self.rows = np.unique(rows[~np.isin(shift, bands)]) if bands.size else np.arange(size)
+        own = np.isin(rows, self.rows)
+        self.own, self.local = np.flatnonzero(own), np.searchsorted(self.rows, rows[own])
+        self.cols = cols[own] + self.lo
+        # a band row gathers its entry's value, or the 0.0 that `bind` appends
+        self.gather = np.full((bands.size, size), rows.size)
+        self.gather[np.searchsorted(bands, shift[~own]), rows[~own]] = np.flatnonzero(~own)
+        self.bands = bands.tolist()
+
+    def bind(self, vals):
+        """A zero vector at [lo, lo + size) of a new zero-padded buffer, and the matvec of it."""
+        lo, size = self.lo, self.size
+        buffer = np.zeros(lo + size + max([0] + self.bands))
+        coefs = np.append(vals, 0.0)[self.gather]
+        terms = [(c, buffer[lo + k : lo + k + size]) for c, k in zip(coefs, self.bands)]
+        own, local, cols, rows = vals[self.own], self.local, self.cols, self.rows
+
+        def matvec():
+            part = np.bincount(local, own * buffer[cols], minlength=rows.size)
+            if not terms:
+                return part
+            out = np.zeros(size)
+            for coef, view in terms:
+                out += coef * view
+            out[rows] = part
+            return out
+
+        return buffer[lo : lo + size], matvec
+
+
 def _assemble_operator(grid: GridLayout) -> ForwardOperator:
     """F from the sampled face coefficients; B and div F from its terms, R B by composition."""
     model = grid.model
@@ -846,29 +885,29 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     Each step applies the grid's assembled forward operator to the pre-step
     density: the raw boundary outflux B p, the cell rates L_h p (image-face
     sources included) and the terminal rates T p, as one matvec of the
-    stacked operator [B; dt T; dt L_h] built once per call, added to one
-    state vector [B slots | q | p].  Mass is conserved after every step up
-    to rounding.
+    stacked operator [B; dt T; dt L_h], added to one state vector
+    [B slots | q | p].  Mass is conserved after every step up to rounding.
+    The matvec is banded, its layout built on a grid's first evolve: each
+    diagonal col - row with >= 512 entries multiplies a shifted slice of the
+    zero-padded state, added in ascending offset order into zeros, and bincount
+    sums the rows with other entries (B, T, cells beside image faces).  Rows
+    add their products in column order from +0.0, which a missing entry's zero
+    product cannot change, so the bytes are those of one bincount.
 
     When dt <= `ForwardOperator.positivity_dt` and the start density is
-    nonnegative, the step matrix is certified entrywise nonnegative and the
-    step is the matvec and the add alone.  No check could fire: each row of
-    dt L_h p sums one diagonal product, at least -(1 - 1e-9)(1 + u)^2 p_i in
-    floating point, with nonnegative off-diagonal products, so p_i plus it
-    stays nonnegative; and B p >= 0 because B >= 0 and p >= 0.  Operators
-    with cross-diffusion, cell Peclet numbers above 2 or negative entries
-    of B, steps beyond the diagonal limit (2D boxes with absorbing corner
-    cells) and densities with negative cells keep the per-step checks: a
-    negative raw outflux is clamped to zero through the routing R,
+    nonnegative, the step matrix is certified entrywise nonnegative, so no
+    check could fire (module docstring), and the step is the matvec and the
+    add alone.  Operators with cross-diffusion, cell Peclet numbers above 2
+    or negative entries of B, steps beyond the diagonal limit (2D boxes with
+    absorbing corner cells) and densities with negative cells keep the
+    per-step checks: a negative raw outflux is clamped to zero through R,
     p += dt (L_h p - R min(B p, 0)), and likewise for the terminal masses,
     or raises NegativeOutflux below -1e-6 max|F p|; a density undershooting
-    the rounding band raises NegativeDensity.  A non-integer n_steps, or mode
-    arrays whose sizes differ from the grid's cell counts, raise SolverError.
+    the rounding band raises NegativeDensity.  A negative or non-integer
+    n_steps, or mode arrays whose sizes differ from the grid's cell counts,
+    raise SolverError.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
-        raise SolverError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 0:
-        raise SolverError("n_steps must be >= 0")
+    _check_count("n_steps", n_steps)
     if not dt > 0.0:
         raise SolverError(f"dt must be positive, got {dt}")
     bound = grid.stability_bound()
@@ -881,24 +920,20 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     names = model.terminal_states
     n_b, n_t = op.outflux_edge.size, len(names)
     head = n_b + n_t
-    # rows [0, n_b) are B, then dt T, then dt L_h; each block keeps its entry
-    # order, so every row sums the same terms in the same order as alone
-    stacked = tuple(
-        np.concatenate(parts)
-        for parts in zip(
-            (op.outflux[0], op.outflux[1] + head, op.outflux[2]),
-            (op.terminal[0] + n_b, op.terminal[1] + head, dt * op.terminal[2]),
-            (op.rate[0] + head, op.rate[1] + head, dt * op.rate[2]),
-        )
-    )
-    state = np.concatenate(
-        [np.zeros(n_b), [density.q.get(name, 0.0) for name in names], op.flatten(density.p)]
-    )
+    step = grid._caches.get("step")
+    if step is None:
+        # rows [0, n_b) are B, then T, then L_h, over the state [B slots | q | p]
+        blocks = (op.outflux, op.terminal, op.rate)
+        rows = np.concatenate([x[0] + at for x, at in zip(blocks, (0, n_b, head))])
+        cols = np.concatenate([x[1] for x in blocks]) + head
+        step = grid._caches["step"] = _BandedStep(rows, cols, head + n)
+    state, matvec = step.bind(np.concatenate((op.outflux[2], dt * op.terminal[2], dt * op.rate[2])))
     q, p = state[n_b:head], state[head:]
+    q[:], p[:] = [density.q.get(name, 0.0) for name in names], op.flatten(density.p)
     checked = not (dt <= op.positivity_dt and p.min(initial=0.0) >= 0.0)
     t = density.t
     for _ in range(n_steps):
-        out = _matvec(stacked, state, head + n)
+        out = matvec()
         raw = out[:n_b]
         if checked and np.min(raw, initial=0.0) < 0.0:
             _check_outflux(op, p, raw)
@@ -918,6 +953,11 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     terms = dict(density.q)
     terms.update(zip(names, q.tolist()))
     return DensityState(op.split(p), terms, t)
+
+
+def _check_count(name: str, value, low: int = 0):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise SolverError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_outflux(op: ForwardOperator, p: np.ndarray, raw: np.ndarray):
@@ -990,8 +1030,13 @@ def run_to_stationarity(
     """Evolve until the one-step L1 change drops below l1_tol.
 
     Returns (density, info) with the number of steps taken and the final
-    per-step L1 change.
+    per-step L1 change.  Malformed controls raise SolverError naming them.
     """
+    real = isinstance(l1_tol, (int, float, np.integer, np.floating)) and not isinstance(l1_tol, bool)
+    if not (real and 0 < l1_tol < np.inf):
+        raise SolverError(f"l1_tol must be a finite number > 0, got {l1_tol!r}")
+    _check_count("check_every", check_every)
+    _check_count("max_steps", max_steps)
     state = density
     steps = 0
     l1 = np.inf
@@ -1013,21 +1058,16 @@ def run_to_stationarity(
 
 def coarsen(model: HybridModel, grid: GridLayout, density: DensityState, factor: int):
     """Aggregate to a factor-coarser grid by conservative block averaging."""
-    if factor < 1:
-        raise SolverError("factor must be >= 1")
+    _check_count("factor", factor, 1)
     new_res = []
     for mg in grid.mode_grids:
         if any(n % factor for n in mg.shape):
             raise SolverError(f"grid shape {mg.shape} is not divisible by {factor}")
         new_res.append(tuple(n // factor for n in mg.shape))
     coarse_grid = build_grid(model, new_res)
-    arrays = []
-    for arr in density.p:
-        if arr.ndim == 1:
-            arrays.append(arr.reshape(-1, factor).mean(axis=1))
-        else:
-            n0, n1 = arr.shape
-            arrays.append(
-                arr.reshape(n0 // factor, factor, n1 // factor, factor).mean(axis=(1, 3))
-            )
+    # each axis splits into (blocks, factor); the means run over the factor axes
+    arrays = [
+        a.reshape([m for n in a.shape for m in (n // factor, factor)]).mean(axis=(1, 3)[: a.ndim])
+        for a in density.p
+    ]
     return coarse_grid, DensityState(arrays, dict(density.q), density.t)

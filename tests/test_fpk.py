@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resetsde import fpk
 from resetsde.fpk import (
     CharacteristicFacePresent,
     MisalignedH,
@@ -493,8 +495,11 @@ class TestEvolve:
             (thermostat_1d, thermostat_resolution(0.005), lambda g: point_density(g, 0, 20.0, 0.05), 1312),
             (gamblers_ruin_model, 50, lambda g: point_density(g, 0, 0.3, 0.05), 50),
             (lambda: recurrent_two_mode_2d(), 8, lambda g: project_density(g, [blob_2d, None]), 128),
+            # large enough for the banded step
+            (lambda: recurrent_two_mode_2d(), 32, lambda g: project_density(g, [blob_2d, None]), 2048),
+            (gamblers_ruin_model, 1000, lambda g: point_density(g, 0, 0.02, 0.01), 1000),
         ],
-        ids=["thermostat_1d", "gamblers_ruin", "recurrent_2d"],
+        ids=["thermostat_1d", "gamblers_ruin", "recurrent_2d", "recurrent_2d_32", "gamblers_ruin_1000"],
     )
     def test_stacked_step_equals_separate_matvecs(self, model, resolution, start, n_cells):
         # reference: B, dt T and dt L_h applied one at a time to the pre-step
@@ -524,6 +529,24 @@ class TestEvolve:
         assert [out.q[name] for name in names] == q.tolist()
         # mass left the start mode through a boundary: the B, T and reset rows all acted
         assert np.sum(out.p[0]) * grid.mode_grids[0].cell_volume < 0.99
+
+    @pytest.mark.parametrize(
+        "model, resolution, mean, bands, n_mixed",
+        [
+            # 4 B rows, 1 T row and the 4 cells beside the two image faces
+            (thermostat_1d, thermostat_resolution(0.005), 20.0, [-1, 0, 1], 9),
+            # 54 rows: every diagonal is too short, so the step is one bincount
+            (gamblers_ruin_model, 50, 0.3, [], 54),
+        ],
+        ids=["thermostat_1d", "gamblers_ruin"],
+    )
+    def test_row_rule_picks_the_bands(self, model, resolution, mean, bands, n_mixed):
+        model = model()
+        grid = build_grid(model, resolution)
+        evolve(model, grid, point_density(grid, 0, mean, 0.05), stable_dt(grid, 0.9), 1)
+        step = grid._caches["step"]
+        assert step.bands == bands
+        assert step.rows.size == n_mixed
 
     def test_mismatched_cell_counts_refused(self):
         model = gamblers_ruin_model()
@@ -701,6 +724,38 @@ class TestStationaryAndCoarsen:
         # nearly everything was absorbed at the ends by the time the
         # per-step change dropped below tolerance
         assert state.q["hit"] + state.q["escaped"] > 0.99
+
+    @pytest.mark.parametrize("factor", [2.0, True, "2", 1.5, None, 0, -2])
+    def test_coarsen_refuses_a_factor_that_is_not_a_positive_integer(self, factor):
+        model = thermostat_1d()
+        grid = build_grid(model, thermostat_resolution(0.01))
+        with pytest.raises(SolverError, match="factor"):
+            coarsen(model, grid, point_density(grid, 0, 20.0, 0.3), factor)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("l1_tol", float("nan")),
+            ("l1_tol", float("inf")),
+            ("l1_tol", 0.0),
+            ("l1_tol", -1e-6),
+            ("l1_tol", True),
+            ("l1_tol", "1e-6"),
+            ("check_every", -1),
+            ("check_every", 2.5),
+            ("check_every", True),
+            ("max_steps", -1),
+            ("max_steps", 1e5),
+            ("max_steps", "100"),
+        ],
+    )
+    def test_run_to_stationarity_refuses_bad_controls(self, name, value):
+        # a NaN l1_tol used to run silently to max_steps
+        model = brownian_interval(0.0, 2.0)
+        grid = build_grid(model, 100)
+        density = point_density(grid, 0, 1.0, 0.2)
+        with pytest.raises(SolverError, match=name):
+            run_to_stationarity(model, grid, density, stable_dt(grid, 0.9), **{name: value})
 
     def test_coarsen_preserves_mass(self):
         model = thermostat_1d()
@@ -1113,6 +1168,46 @@ class TestEvolveProperties:
             assert state.q["out"] == pytest.approx(reference[-1], abs=1e-12)
         batched = evolve(model, grid, density, dt, 30)
         assert np.array_equal(batched.p[0], state.p[0])
+
+
+@st.composite
+def banded_triplets(draw):
+    """Row-sorted, coalesced triplets: diagonals with gaps plus scattered entries
+    on either side of them, and a state with signed zeros and negative cells."""
+    size = draw(st.integers(1, 60))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3, width=64))
+    entries = {}
+    for k in draw(st.sets(st.integers(-3, 3), max_size=4)):
+        rows = np.arange(max(0, -k), min(size, size - k))
+        keep = draw(st.lists(st.integers(0, 9), min_size=rows.size, max_size=rows.size))
+        for r, w in zip(rows.tolist(), keep):
+            if w:   # one entry in ten is missing
+                entries[(r, r + k)] = draw(value)
+    index = st.integers(0, size - 1)
+    for r, c, v in draw(st.lists(st.tuples(index, index, value), max_size=12)):
+        entries[(r, c)] = v
+    keys = sorted(entries)
+    rows = np.array([r for r, _ in keys], dtype=np.intp)
+    cols = np.array([c for _, c in keys], dtype=np.intp)
+    vals = np.array([entries[key] for key in keys], dtype=float)
+    x = np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
+    return rows, cols, vals, x, size
+
+
+class TestBandedStep:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(banded_triplets(), st.sampled_from([1, 2, 8, 30, 10**9]))
+    def test_banded_matvec_is_the_bincount_byte_for_byte(self, case, min_rows):
+        rows, cols, vals, x, size = case
+        with mock.patch.object(fpk, "_BAND_MIN_ROWS", min_rows):
+            step = fpk._BandedStep(rows, cols, size)
+        counts = np.bincount(cols - rows + size, minlength=2 * size)
+        assert step.bands == [k - size for k in np.flatnonzero(counts >= min_rows).tolist()]
+        state, matvec = step.bind(vals)
+        state[:] = x
+        expected = np.bincount(rows, vals * x[cols], minlength=size)
+        assert matvec().tobytes() == expected.tobytes()
+        assert matvec().tobytes() == expected.tobytes()   # the step leaves its buffer as it was
 
 
 class TestSparseStationary:
