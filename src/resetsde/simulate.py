@@ -9,19 +9,20 @@ empirical measures they would otherwise enter.
 
 Every trajectory draws from its own numpy PCG64 stream, seeded as
 `SeedSequence([base_seed, trajectory_index])`, so ensembles reproduce
-bit-for-bit regardless of batch size; the streams of a batch take their seed
-words from one shared seed object.  A stream's draws are laid out as
-follows: the initial law draws first, then step j uses normals
-[j*d, (j+1)*d).  Normals are drawn in chunks of 64 steps for the live paths
-only, into a buffer whose rows follow the state rows, so a step reads one
-column block and noise memory is O(batch * 64 * d); a path's initial-law
-normals share one draw call with its first chunk.  The hot loop advances all
-live paths in lockstep: one proposal per iteration, landing exactly on the
-next time-grid point unless a boundary crossing truncates it.  Dead paths
-stay in the state arrays, marked by a negative mode, until the chunk is used
-up; at the refill they are dropped with their streams, and the buffer
-shrinks to a view of its first rows, never copied.  A 5,000-path gamblers'
-ruin batch peaks at about 1.34 kB per path (tracemalloc).
+bit-for-bit for any number of paths in flight; the streams admitted together
+take their seed words from one shared seed object.  A stream's draws are
+laid out as follows: the initial law draws first, then step j uses normals
+[j*d, (j+1)*d).  Paths run through one working set of at most W rows, by
+default as many as a 12 MiB noise buffer holds (about 24,000 in 1D).
+Normals are drawn in chunks of 64 steps for the rows in flight, into a
+buffer allocated once whose rows follow the state rows, so a step reads one
+column block; a path's initial-law normals share one draw call with its
+first chunk.  The hot loop advances all rows in lockstep: one proposal per
+iteration, landing exactly on the next time-grid point unless a boundary
+crossing truncates it.  Dead paths stay in the state arrays, marked by a
+negative mode, until the chunk is used up; at the refill they are dropped
+with their streams and the next queued paths, in index order, take the free
+rows.  Memory is thus set by W; only the output slots grow with the paths.
 
 One stepping kernel proposes steps, tests face gaps and looks up resets on
 per-path rows of per-mode tables: every model's face geometry and reset
@@ -30,11 +31,10 @@ and every noise column constant; other fields are stepped mode by mode.
 Terminal exits apply in one pass; surface images go by (mode, face) group.
 The loop only steps: one recorder per run owns every path's output slots,
 the terms of the expectation identity (phi(X_0), phi(X_t), the integral of
-L phi and the jump sums) and the jump events, and each batch writes into
-its own columns of it.  The single-state `step`, `detect_hit` and
-`apply_reset` share the engine's batched implementations on a batch of one,
-and `simulate_path` runs the engine on a batch of one whose output times are
-all its checkpoints.
+L phi and the jump sums) and the jump events, one column per path.  The
+single-state `step`, `detect_hit` and `apply_reset` share the engine's
+batched implementations on a batch of one, and `simulate_path` runs the
+engine on one path whose output times are all its checkpoints.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from resetsde.model import (
 )
 
 _CHUNK_STEPS = 64  # steps of noise drawn per refill
+_NOISE_BUDGET = 12 * 2**20  # bytes of noise buffer that set the default paths in flight
 _MODE_TERMINAL = -1
 _MODE_ZENO = -2
 _MODE_UNSET = -3
@@ -247,7 +248,7 @@ def step(model: HybridModel, state: PathState, dt: float, noise) -> PathState:
     xi[0, : increments.size] = increments
     modes = np.array([state.mode])
     kernel = _Kernel(model)
-    kernel.attach(modes)
+    kernel.admit(np.zeros(0, dtype=bool), modes)
     # the increments already carry the sqrt(dt) scale
     new = kernel.propose(modes, state.position[None, :], np.array([dt]), np.ones(1), xi)
     return PathState(state.mode, None, new[0], state.time + dt)
@@ -296,10 +297,12 @@ class _Kernel:
     drift is affine and every noise column constant, the drift correction
     vanishes, so the tables also hold the drift and noise coefficients and
     one gathered expression advances a mixed-mode batch; other fields have no
-    row form and are stepped mode by mode.  A path's rows are refreshed only
-    when it changes mode.  The reset tables, indexed by mode * f_max + face,
-    hold the post-jump mode (_MODE_TERMINAL for an exit, _MODE_UNSET for a
-    characteristic or padded face) and terminal index (-1 for none).
+    row form and are stepped mode by mode.  Tables and rows keep the path
+    axis last, so gaps come face by face over contiguous rows.  A path's rows
+    are refreshed only when it changes mode.  The reset tables, indexed by
+    mode * f_max + face, hold the post-jump mode (_MODE_TERMINAL for an exit,
+    _MODE_UNSET for a characteristic or padded face) and terminal index (-1
+    for none).
     """
 
     def __init__(self, model: HybridModel):
@@ -320,7 +323,8 @@ class _Kernel:
                 noise = np.column_stack([a_field.offset for a_field in m.fields.diffusion])
                 row.update(b_mat=m.fields.drift.matrix, b_off=m.fields.drift.offset, noise=noise)
             per_mode.append(row)
-        self.tables = {key: np.array([row[key] for row in per_mode], dtype=float) for key in per_mode[0]}
+        self.tables = {key: np.stack([row[key] for row in per_mode], axis=-1).astype(float) for key in per_mode[0]}
+        self.rows = {key: table[..., :0] for key, table in self.tables.items()}
         self.post_mode = np.full(len(model.modes) * f_max, _MODE_UNSET, dtype=np.int64)
         self.post_term = np.full(self.post_mode.size, -1, dtype=np.int64)
         for (q, f), i in model.face_edges.items():
@@ -329,15 +333,15 @@ class _Kernel:
             self.post_mode[q * f_max + f] = _MODE_TERMINAL if terminal else target.mode
             self.post_term[q * f_max + f] = model.terminal_states.index(target.terminal) if terminal else -1
 
-    def attach(self, modes: np.ndarray) -> None:
-        self.rows = {key: table[modes] for key, table in self.tables.items()}
+    def admit(self, keep: np.ndarray, modes: np.ndarray) -> None:
+        """Keep the rows where keep is set and append rows for paths in modes
+        (take and compress keep the path axis contiguous, as gaps reads it)."""
+        self.rows = {key: np.concatenate([self.rows[key].compress(keep, axis=-1), table.take(modes, axis=-1)], axis=-1)
+                     for key, table in self.tables.items()}
 
     def update_rows(self, rows: np.ndarray, modes: np.ndarray) -> None:
         for key, table in self.tables.items():
-            self.rows[key][rows] = table[modes]
-
-    def compact(self, keep: np.ndarray) -> None:
-        self.rows = {key: row[keep] for key, row in self.rows.items()}
+            self.rows[key][..., rows] = table[..., modes]
 
     def propose(self, modes, theta, delta, sqrt_delta, xi):
         if not self.affine:
@@ -355,21 +359,22 @@ class _Kernel:
         b_mat, b_off, noise = self.rows["b_mat"], self.rows["b_off"], self.rows["noise"]
         out = np.empty_like(theta)
         for i in range(self.d):
-            acc = b_off[:, i]
+            acc = b_off[i]
             for j in range(self.d):
-                acc = acc + b_mat[:, i, j] * theta[:, j]
+                acc = acc + b_mat[i, j] * theta[:, j]
             acc = acc * delta
             for r in range(self.d):
-                acc = acc + noise[:, i, r] * (xi[:, r] * sqrt_delta)
+                acc = acc + noise[i, r] * (xi[:, r] * sqrt_delta)
             out[:, i] = theta[:, i] + acc
         return out
 
     def gaps(self, points, rows=slice(None)):
-        normals = self.rows["normals"][rows]
-        g = normals[:, :, 0] * points[:, 0, None]
+        """(faces, points) gaps of each point to the faces of its row."""
+        normals = self.rows["normals"][..., rows]
+        g = normals[:, 0] * points[:, 0]
         for j in range(1, self.d):
-            g += normals[:, :, j] * points[:, j, None]
-        g -= self.rows["offsets"][rows]
+            g += normals[:, j] * points[:, j]
+        g -= self.rows["offsets"][:, rows]
         return g
 
 
@@ -382,9 +387,9 @@ class _Recorder:
 
     The mode, position and terminal slots, phi(X_0), and per output time
     phi(X_t), the integral of L phi and the jump sum, for every registered
-    test function.  A batch opens with `start` at its first column; its
-    running integrals have one entry per batch row and are compacted with
-    the rows.  Jump events are collected when `events` is set.
+    test function.  The running integrals have one entry per row in flight
+    and follow the engine's rows through `admit`.  Jump events are collected
+    when `events` is set.
     """
 
     def __init__(self, model, n_out, n_paths, test_functions=(), events=False):
@@ -397,6 +402,8 @@ class _Recorder:
         self.out_pos = np.zeros(n_paths, dtype=np.int64)
         self.phi0 = np.zeros((len(self.phis), n_paths))
         self.phi_t, self.intL_at, self.jsum_at = np.zeros((3, len(self.phis), n_out, n_paths))
+        self.cols = np.zeros(0, dtype=np.int64)
+        self.intL = self.jsum = np.zeros((len(self.phis), 0))
 
     def _value(self, k, modes, positions, terminals):
         """phi_k evaluated on a mixed batch of in-mode and terminal states."""
@@ -406,15 +413,13 @@ class _Recorder:
         vals[term_sel] = [phi.terminal_value(self.model.terminal_states[t]) for t in terminals[term_sel]]
         return vals
 
-    def start(self, col, mode, pos, term):
-        """Open a batch whose rows fill columns col, col + 1, ..."""
-        self.cols = col + np.arange(mode.size)
-        self.intL, self.jsum = np.zeros((2, len(self.phis), mode.size))
+    def admit(self, keep, cols, mode, pos, term):
+        """Keep the rows where keep is set and append rows for the paths of columns cols."""
+        fresh = np.zeros((len(self.phis), cols.size))
+        self.cols = np.concatenate([self.cols[keep], cols])
+        self.intL, self.jsum = (np.concatenate([a[:, keep], fresh], axis=1) for a in (self.intL, self.jsum))
         for k in range(len(self.phis)):
-            self.phi0[k, self.cols] = self._value(k, mode, pos, term)
-
-    def compact(self, keep):
-        self.cols, self.intL, self.jsum = self.cols[keep], self.intL[:, keep], self.jsum[:, keep]
+            self.phi0[k, cols] = self._value(k, mode, pos, term)
 
     def segments(self, mode, start, end, length, crossed, frac, hit_pts):
         """Trapezoid rule for the integral of L phi over each row's step,
@@ -563,7 +568,9 @@ def _streams(base_seed: int, idx: np.ndarray) -> list:
             return self.rows[self.taken - 1]
 
     seeds = Seeds(_pcg_seeds(base_seed, idx))
-    return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(idx.size)]
+    gens = [np.random.Generator(np.random.PCG64(seeds)) for _ in range(idx.size)]
+    seeds.rows = None  # each stream holds seeds but has taken its words
+    return gens
 
 
 def _own_pages(rows: int, cols: int) -> np.ndarray:
@@ -590,74 +597,74 @@ def _check_counts(base_seed, first_index, n_paths, zeno_cap, batch_size=1) -> No
 
 
 # ---------------------------------------------------------------------------
-# the batched engine
+# the path engine
 
 
-def _run_batch(model: HybridModel, initial_law, index_range, base_seed, checkpoints, out_of_cp, dt,
-               zeno_cap, rec: _Recorder, col: int):
-    """Advance the paths of index_range in lockstep into rec's columns col, col + 1, ...
+def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_cp, dt, zeno_cap,
+         rec: _Recorder, width):
+    """Advance the paths of the index range paths into rec's columns 0, 1, ...,
+    at most width in flight (None: as many as _NOISE_BUDGET holds) and admitted
+    in index order as rows die.
 
     out_of_cp maps each checkpoint to its output slot (-1 for none).
     """
     d = model.dimension
-    lo_idx, hi_idx = index_range
-    batch = hi_idx - lo_idx
-    gens = _streams(base_seed, np.arange(lo_idx, hi_idx))
-    kernel = _Kernel(model)
-
-    # a path's initial-law normals and its first noise chunk come from one
-    # draw call; split draws concatenate, so the stream layout is unchanged
+    lo_idx, hi_idx = paths
     gaussian = isinstance(initial_law, GaussianInitial)
     n_init = initial_law.mean.size if gaussian else 0
-    draws = _own_pages(batch, n_init + _CHUNK_STEPS * d)
-    for row, gen in zip(draws, gens):
-        gen.standard_normal(out=row)
-    buf = draws[:, n_init:]  # noise chunk, one row per state row
-    cursor = 0
+    # a path's initial-law normals and its first noise chunk come from one
+    # draw call; split draws concatenate, so the stream layout is unchanged
+    width = min(width or _NOISE_BUDGET // (8 * (n_init + _CHUNK_STEPS * d)), hi_idx - lo_idx)
+    draws = _own_pages(width, n_init + _CHUNK_STEPS * d)
+    kernel = _Kernel(model)
 
-    # path state per row; a dead row has a negative mode until it is compacted away
-    mode = np.full(batch, initial_law.mode, dtype=np.int64)
-    pos = np.zeros((batch, d))
-    if gaussian:
-        pos[:] = initial_law.mean + initial_law.std * draws[:, :n_init]
-    else:
-        pos[:] = initial_law.position
-    if not np.all(model.modes[initial_law.mode].domain.contains(pos)):
-        raise SimulationError(f"initial law produced points outside mode {initial_law.mode}")
-    kernel.attach(mode)
-
-    t = np.zeros(batch)
-    term = np.full(batch, -1, dtype=np.int64)
-    n_jumps = np.zeros(batch, dtype=np.int64)
-    next_cp = np.ones(batch, dtype=np.int64)
-
-    rec.start(col, mode, pos, term)
-    if out_of_cp[0] >= 0:
-        rec.record(np.arange(batch), mode, pos, term)
+    # path state per row; a dead row has a negative mode until the next refill
+    gens, queued = [], lo_idx
+    mode, pos = np.zeros(0, dtype=np.int64), np.zeros((0, d))
+    t, term, n_jumps, next_cp = np.zeros(0), mode, mode, mode
 
     n_cp = len(checkpoints)
-    # checkpoints where an arrival does work: output times and the horizon
-    is_stop = out_of_cp >= 0
-    is_stop[-1] = True
-    n_dead = 0
+    # stop_at[c]: an arrival at checkpoint c - 1 does work (an output time or the
+    # horizon); padded for dead rows, which step on past the horizon until the refill
+    stop_at = np.zeros(n_cp + _CHUNK_STEPS + 1, dtype=bool)
+    stop_at[1 : n_cp + 1] = out_of_cp >= 0
+    stop_at[n_cp] = True
+    cursor = n_dead = 0
 
-    while n_dead < mode.size:
-        if cursor == buf.shape[1]:
-            if n_dead:
-                # the buffer holds no unread noise, so the dead rows go now: the
-                # live rows move to the front and the buffer shrinks to a view
-                keep = mode >= 0
-                gens = list(compress(gens, keep))
-                buf = buf[: len(gens)]
-                n_dead = 0
-                mode, pos, t, term, n_jumps, next_cp = (
-                    row[keep] for row in (mode, pos, t, term, n_jumps, next_cp)
-                )
-                kernel.compact(keep)
-                rec.compact(keep)
-            for row, gen in zip(buf, gens):
+    while queued < hi_idx or n_dead < mode.size:
+        if cursor == _CHUNK_STEPS * d or n_dead == mode.size:
+            # no live row holds unread noise, so the dead rows go now, the live
+            # rows move to the front and the next queued paths take the free rows
+            keep = mode >= 0
+            gens = list(compress(gens, keep))
+            live = len(gens)
+            for row, gen in zip(draws[:, n_init:], gens):
                 gen.standard_normal(out=row)
-            cursor = 0
+            new = np.arange(queued, min(queued + width - live, hi_idx))
+            queued += new.size
+            gens += _streams(base_seed, new)
+            for row, gen in zip(draws[live:], gens[live:]):
+                gen.standard_normal(out=row)
+            new_mode = np.full(new.size, initial_law.mode, dtype=np.int64)
+            if gaussian:
+                new_pos = initial_law.mean + initial_law.std * draws[live : live + new.size, :n_init]
+            else:
+                new_pos = np.tile(initial_law.position, (new.size, 1))
+            if not np.all(model.modes[initial_law.mode].domain.contains(new_pos)):
+                raise SimulationError(f"initial law produced points outside mode {initial_law.mode}")
+            zero = np.zeros(new.size, dtype=np.int64)
+            mode, pos, t, term, n_jumps, next_cp = (
+                np.concatenate([row[keep], add]) for row, add in zip(
+                    (mode, pos, t, term, n_jumps, next_cp),
+                    (new_mode, new_pos, np.zeros(new.size), zero - 1, zero, zero + 1),
+                )
+            )
+            kernel.admit(keep, new_mode)
+            rec.admit(keep, new - lo_idx, new_mode, new_pos, term[live:])
+            if out_of_cp[0] >= 0:
+                rec.record(np.arange(live, mode.size), mode, pos, term)
+            buf = draws[: mode.size, n_init:]  # noise chunk, one row per state row
+            cursor = n_dead = 0
         xi = buf[:, cursor : cursor + d]
         cursor += d
 
@@ -671,15 +678,12 @@ def _run_batch(model: HybridModel, initial_law, index_range, base_seed, checkpoi
 
         # crossing fractions only for the paths that actually left the domain
         ge = kernel.gaps(theta_new)
-        # a loop over the few face columns is ~5x faster than np.any(axis=1)
-        hit = ge[:, 0] >= 0.0
-        for k in range(1, ge.shape[1]):
-            hit |= ge[:, k] >= 0.0
+        hit = np.logical_or.reduce(ge >= 0.0, axis=0)
         crossed = np.flatnonzero(hit & (mode >= 0))
         s = hit_pts = None
         if crossed.size:
             gs = kernel.gaps(start_pos[crossed], crossed)
-            s, faces = _first_crossing(gs, ge[crossed])
+            s, faces = _first_crossing(gs.T, ge[:, crossed].T)
             hit_pts = start_pos[crossed] + s[:, None] * (theta_new[crossed] - start_pos[crossed])
         rec.segments(mode, start_pos, theta_new, delta, crossed, s, hit_pts)
 
@@ -731,17 +735,19 @@ def _run_batch(model: HybridModel, initial_law, index_range, base_seed, checkpoi
                     t[resync] = checkpoints[next_cp[resync]]
                     next_cp[resync] += 1
 
-        # checkpoint arrivals: every non-crossing live path, plus resyncs; an
-        # arrival at index next_cp - 1 only does work at a stop checkpoint
-        if np.any(is_stop[next_cp.min() - 1 : next_cp.max()]):
-            arr_mask = mode >= 0
+        # checkpoint arrivals: every non-crossing live path, plus resyncs; rows
+        # admitted at different refills sit at different checkpoints, so only
+        # the rows arriving at a stop checkpoint are read
+        arr_mask = stop_at[next_cp]
+        if np.any(arr_mask):
+            arr_mask &= mode >= 0
             if crossed.size:
+                resync_mask = arr_mask[resync]
                 arr_mask[crossed] = False
-                arr_mask[resync] = True
+                arr_mask[resync] = resync_mask
             arrivals = np.flatnonzero(arr_mask)
             arrived = next_cp[arrivals] - 1
-            slots = out_of_cp[arrived]
-            with_out = arrivals[slots >= 0]
+            with_out = arrivals[out_of_cp[arrived] >= 0]
             if with_out.size:
                 rec.record(with_out, mode, pos, term)
             done = arrivals[arrived == n_cp - 1]
@@ -782,9 +788,9 @@ def simulate_path(
         return Trajectory(checkpoints, modes, positions, [], initial.terminal, initial.time)
 
     rec = _Recorder(model, n_cp, 1, events=True)
-    _run_batch(
+    _run(
         model, PointMass(initial.mode, initial.position), (path_index, path_index + 1), rng_seed,
-        checkpoints, np.arange(n_cp), dt, zeno_cap, rec, 0,
+        checkpoints, np.arange(n_cp), dt, zeno_cap, rec, 1,
     )
     modes = rec.mode_at[:, 0]
     positions = rec.pos_at[:, 0]
@@ -808,10 +814,11 @@ def ensemble(
     base_seed: int,
     zeno_cap: int | None = None,
     test_functions: Sequence = (),
-    batch_size: int = 100_000,
+    batch_size: int | None = None,
 ) -> EmpiricalMeasure:
-    """Independent trajectories with per-path streams, run batch by batch in
-    index order.
+    """Independent trajectories with per-path streams, admitted in index order
+    into a working set of at most batch_size paths in flight (by default as
+    many as the noise budget holds, about 24,000 in 1D).
 
     Identical inputs give bit-identical measures for any batch size.
     Zeno-flagged paths are counted separately and excluded from the mode
@@ -820,7 +827,7 @@ def ensemble(
     _check_time_grid(horizon, dt)
     if zeno_cap is None:
         zeno_cap = default_zeno_cap(horizon)
-    _check_counts(base_seed, 0, n_paths, zeno_cap, batch_size)
+    _check_counts(base_seed, 0, n_paths, zeno_cap, 1 if batch_size is None else batch_size)
     out_times = np.asarray(sorted(output_times), dtype=float)
     if out_times.size == 0:
         raise SimulationError("at least one output time is required")
@@ -833,11 +840,8 @@ def ensemble(
     n_out = out_times.size
 
     rec = _Recorder(model, n_out, n_paths, test_functions)
-    for lo in range(0, n_paths, batch_size):
-        _run_batch(
-            model, initial_law, (lo, min(lo + batch_size, n_paths)), base_seed, checkpoints,
-            out_of_cp, dt, zeno_cap, rec, lo,
-        )
+    if n_paths:
+        _run(model, initial_law, (0, n_paths), base_seed, checkpoints, out_of_cp, dt, zeno_cap, rec, batch_size)
 
     mode_at, names = rec.mode_at, model.terminal_states
     mode_clouds, terminal_counts = [], []

@@ -114,6 +114,11 @@ def narrow_margin_thermostat():
     return thermostat_model(ThermostatParams(gamma=1.0, box_margin=0.02))
 
 
+def widths(n):
+    """Paths in flight to compare with the default: one, a few, all but one, all."""
+    return (1, 17, n - 1, n)
+
+
 def ruin_phi():
     """exp(x), whose generator under unit Brownian motion is exp(x) / 2."""
     return TestFunction(
@@ -432,11 +437,10 @@ class TestEnsemble:
         # the second model has no row form, so it takes the per-mode proposal
         for model in (thermostat_model(), multiplicative_thermostat()):
             base = ensemble(model, **kwargs)
-            small = ensemble(model, batch_size=17, **kwargs)
-            medium = ensemble(model, batch_size=64, **kwargs)
-            for variant in (small, medium):
+            for batch_size in (*widths(300), 64):
+                variant = ensemble(model, batch_size=batch_size, **kwargs)
                 for q in range(2):
-                    assert np.array_equal(base.mode_clouds[0][q], variant.mode_clouds[0][q])
+                    assert np.array_equal(base.mode_clouds[0][q], variant.mode_clouds[0][q]), batch_size
 
     @pytest.mark.parametrize("key, value", [
         ("zeno_cap", 0), ("zeno_cap", -5), ("zeno_cap", 2.5),
@@ -465,30 +469,33 @@ class TestEnsemble:
             test_functions=[thermostat_phi(1.0, 2.0, model)],
         )
         base = ensemble(model, **kwargs).dynkin[0]
-        small = ensemble(model, batch_size=17, **kwargs).dynkin[0]
         assert np.any(base.jump_sum != 0.0)
-        for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
-            assert np.array_equal(getattr(base, name), getattr(small, name)), name
-
-    def test_dynkin_records_with_dead_rows_independent_of_batch_size(self):
-        # paths die throughout the run, so rows are carried dead between compactions
-        kwargs = dict(
-            initial_law=GaussianInitial(0, [0.3], 0.01),
-            n_paths=300,
-            horizon=1.0,
-            dt=1e-2,
-            output_times=[0.1, 0.4, 1.0],
-            base_seed=8,
-            test_functions=[ruin_phi()],
-        )
-        base = ensemble(gamblers_ruin_model(), **kwargs).dynkin[0]
-        assert np.any(base.jump_sum != 0.0)
-        for batch_size in (17, 1):
-            other = ensemble(gamblers_ruin_model(), batch_size=batch_size, **kwargs).dynkin[0]
+        for batch_size in widths(300):
+            other = ensemble(model, batch_size=batch_size, **kwargs).dynkin[0]
             for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
                 assert np.array_equal(getattr(base, name), getattr(other, name)), (batch_size, name)
 
-    @pytest.mark.parametrize("batch_size", [1, 17])
+    def test_dynkin_records_with_dead_rows_independent_of_batch_size(self):
+        # paths die throughout the run, so rows are carried dead between
+        # compactions; paths admitted later record their t = 0 slot on admission
+        for times in ([0.1, 0.4, 1.0], [0.0, 0.1, 0.4, 1.0]):
+            kwargs = dict(
+                initial_law=GaussianInitial(0, [0.3], 0.01),
+                n_paths=300,
+                horizon=1.0,
+                dt=1e-2,
+                output_times=times,
+                base_seed=8,
+                test_functions=[ruin_phi()],
+            )
+            base = ensemble(gamblers_ruin_model(), **kwargs).dynkin[0]
+            assert np.any(base.jump_sum != 0.0)
+            for batch_size in widths(300):
+                other = ensemble(gamblers_ruin_model(), batch_size=batch_size, **kwargs).dynkin[0]
+                for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+                    assert np.array_equal(getattr(base, name), getattr(other, name)), (times, batch_size, name)
+
+    @pytest.mark.parametrize("batch_size", widths(300))
     def test_dead_paths_fill_every_remaining_slot(self, batch_size):
         # terminal values outside exp((0, 1)) tell a dead path's slots from a live one's
         phi = TestFunction(
@@ -557,7 +564,7 @@ class TestEnsemble:
         base = ensemble(model, **kwargs)
         assert 0 < base.terminal_counts[-1]["out"] < 200
         assert np.any(base.dynkin[0].jump_sum[0] != 0.0)
-        for batch_size in (17, 1):
+        for batch_size in widths(200):
             other = ensemble(model, batch_size=batch_size, **kwargs)
             for k in range(3):
                 assert base.mode_clouds[k][0].tobytes() == other.mode_clouds[k][0].tobytes()
@@ -582,9 +589,28 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak < 50e6
 
+    def test_engine_memory_does_not_grow_with_the_ensemble(self):
+        # the five-step ruin above at the default paths in flight: doubling N
+        # adds only the recorder's output slots (mode, position and terminal
+        # per output time) and its output cursor, 32 B per path here; one batch
+        # of every path added about 930 B per path
+        model, law = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01)
+        ensemble(model, law, 10, 0.05, 1e-2, [0.05], base_seed=1)   # imports stay outside the peak
+        peaks = []
+        for n in (60_000, 120_000):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                ensemble(model, law, n, 0.05, 1e-2, [0.05], base_seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        recorder = 60_000 * (1 * 24 + 8)
+        assert peaks[1] - peaks[0] <= 1.1 * recorder, peaks
+
     def test_memory_per_path_is_bounded(self):
         # the streams share one seed object and the noise buffer is never
-        # copied: 1,337 B per path here, against 1,552 with one seed object
+        # copied: 1,333 B per path here, against 1,552 with one seed object
         # per stream and a gathered copy of each step's normals
         model, law, n = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01), 5_000
         ensemble(model, law, 10, 2.0, 1e-3, [2.0], base_seed=1)   # imports stay outside the peak
@@ -598,8 +624,8 @@ class TestEnsemble:
         assert peak / n < 1_440, peak / n
 
     def test_memory_per_path_is_bounded_across_batches(self):
-        # one recorder for the run: about 165 B per path here, against 272 with a
-        # recorder per batch concatenated at the end
+        # one recorder for the run: about 185 B per path here, 128 B of them in
+        # its slots, against 272 with a recorder per batch concatenated at the end
         model, law, n = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01), 20_000
         times = [0.1, 0.25, 0.5, 1.0, 2.0]
         ensemble(model, law, 10, 2.0, 1e-3, times, base_seed=1)   # imports stay outside the peak
@@ -680,14 +706,19 @@ class TestEnsemble:
     def test_zeno_paths_excluded_and_counted(self):
         model = zeno_model()
         n = 200
-        measure = ensemble(
-            model, PointMass(0, [0.5]), n, 1.0, 1e-3, [1.0], base_seed=13,
-            zeno_cap=50,
-        )
+        kwargs = dict(horizon=1.0, dt=1e-3, output_times=[0.5, 1.0], base_seed=13, zeno_cap=50)
+        measure = ensemble(model, PointMass(0, [0.5]), n, **kwargs)
         assert measure.zeno_counts[0] >= 0.99 * n
-        in_modes = sum(c.shape[0] for c in measure.mode_clouds[0])
-        terminal = sum(measure.terminal_counts[0].values())
-        assert in_modes + terminal + int(measure.zeno_counts[0]) == n
+        in_modes = sum(c.shape[0] for c in measure.mode_clouds[1])
+        terminal = sum(measure.terminal_counts[1].values())
+        assert in_modes + terminal + int(measure.zeno_counts[1]) == n
+        # capped rows die long before the horizon, and queued paths take their rows
+        for batch_size in widths(n):
+            other = ensemble(model, PointMass(0, [0.5]), n, batch_size=batch_size, **kwargs)
+            assert np.array_equal(measure.zeno_counts, other.zeno_counts), batch_size
+            for k in range(2):
+                assert measure.terminal_counts[k] == other.terminal_counts[k]
+                assert measure.mode_clouds[k][0].tobytes() == other.mode_clouds[k][0].tobytes()
 
 
 NARROW = dict(n_paths=150, horizon=1.5, dt=1e-2, output_times=[0.64, 0.65, 1.5], base_seed=22)
@@ -761,7 +792,7 @@ class TestResetTables:
                 kinds.setdefault(k, set()).add(jump.post.terminal is None)
         assert any(len(both) == 2 for both in kinds.values())   # surface and terminal in one step
         base = ensemble(model, PointMass(0, [20.0]), test_functions=[NARROW_PHI], **NARROW)
-        for batch_size in (17, 1):
+        for batch_size in widths(NARROW["n_paths"]):
             other = ensemble(
                 model, PointMass(0, [20.0]), test_functions=[NARROW_PHI], batch_size=batch_size, **NARROW
             )
@@ -882,7 +913,7 @@ class TestStreams:
 
     def test_ensemble_refuses_indices_past_32_bits(self, monkeypatch):
         # fail fast instead of simulating 2**32 paths should the check go missing
-        monkeypatch.setattr(simulate, "_run_batch", None)
+        monkeypatch.setattr(simulate, "_run", None)
         with pytest.raises(SimulationError, match="path index"):
             ensemble(
                 gamblers_ruin_model(), PointMass(0, [0.3]), 2**32 + 1, 0.1, 1e-2, [0.1],
