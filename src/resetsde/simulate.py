@@ -39,9 +39,6 @@ engine on one path whose output times are all its checkpoints.
 
 from __future__ import annotations
 
-import ctypes
-import mmap
-import weakref
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Sequence
@@ -173,6 +170,8 @@ class GaussianInitial:
         self.mode = mode
         self.mean = np.asarray(mean, dtype=float).reshape(-1)
         self.std = np.broadcast_to(np.asarray(std, dtype=float), self.mean.shape).copy()
+        if not np.all(np.isfinite(self.std) & (self.std >= 0.0)):
+            raise SimulationError(f"initial std must be finite and >= 0, got {std!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +240,7 @@ def step(model: HybridModel, state: PathState, dt: float, noise) -> PathState:
     """
     if state.mode is None:
         raise SimulationError("step requires an in-mode state")
+    _check_start(model, state.mode, state.position)
     if dt <= 0.0:
         raise SimulationError("dt must be positive")
     increments = np.asarray(noise, dtype=float).reshape(-1)
@@ -382,6 +382,11 @@ class _Kernel:
 # recording
 
 
+def _code_type(n_codes: int) -> np.dtype:
+    """The smallest signed integer type that holds the codes _MODE_UNSET .. n_codes - 1."""
+    return np.min_scalar_type(-max(n_codes, -_MODE_UNSET))
+
+
 class _Recorder:
     """A run's output slots and expectation-identity terms, one column per path.
 
@@ -390,16 +395,22 @@ class _Recorder:
     test function.  The running integrals have one entry per row in flight
     and follow the engine's rows through `admit`.  Jump events are collected
     when `events` is set.
+
+    The slots are the only memory that grows with the paths, so the codes
+    take the narrowest types that hold them: mode and terminal codes are
+    int8 unless the model has more than 128 modes or terminal states, and
+    each path's output cursor is uint8 up to 255 output times.  Per path
+    that is n_out * (8d + 2) + 1 bytes at those widths.
     """
 
     def __init__(self, model, n_out, n_paths, test_functions=(), events=False):
         self.model, self.n_out = model, n_out
         self.phis = list(test_functions)
         self.jumps = [] if events else None
-        self.mode_at = np.full((n_out, n_paths), _MODE_UNSET, dtype=np.int64)
+        self.mode_at = np.full((n_out, n_paths), _MODE_UNSET, dtype=_code_type(len(model.modes)))
         self.pos_at = np.full((n_out, n_paths, model.dimension), np.nan)
-        self.term_at = np.full((n_out, n_paths), -1, dtype=np.int64)
-        self.out_pos = np.zeros(n_paths, dtype=np.int64)
+        self.term_at = np.full((n_out, n_paths), -1, dtype=_code_type(len(model.terminal_states)))
+        self.out_pos = np.zeros(n_paths, dtype=np.min_scalar_type(n_out))
         self.phi0 = np.zeros((len(self.phis), n_paths))
         self.phi_t, self.intL_at, self.jsum_at = np.zeros((3, len(self.phis), n_out, n_paths))
         self.cols = np.zeros(0, dtype=np.int64)
@@ -453,7 +464,8 @@ class _Recorder:
         state for every remaining output time.
         """
         cols = self.cols[rows]
-        first = self.out_pos[cols]
+        # the cursor is stored narrow; the slot arithmetic below must not wrap
+        first = self.out_pos[cols].astype(np.int64)
         counts = self.n_out - first if to_end else np.ones_like(first)
         # one entry per (row, slot): row i fills slots first[i] .. first[i] + counts[i] - 1
         rep = np.repeat(np.arange(first.size), counts)
@@ -472,8 +484,16 @@ class _Recorder:
 def _check_time_grid(horizon: float, dt: float):
     if not 0.0 < dt < np.inf:
         raise SimulationError(f"dt must be positive and finite, got {dt}")
-    if not np.isfinite(horizon):
-        raise SimulationError(f"horizon must be finite, got {horizon}")
+    if not 0.0 < horizon < np.inf:
+        raise SimulationError(f"horizon must be positive and finite, got {horizon}")
+
+
+def _check_start(model: HybridModel, mode, point) -> None:
+    """A start mode of the model and a point of its dimension."""
+    if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or not 0 <= mode < len(model.modes):
+        raise SimulationError(f"start mode must be an integer in [0, {len(model.modes)}), got {mode!r}")
+    if point.size != model.dimension:
+        raise SimulationError(f"start point must have {model.dimension} coordinates, got {point.size}")
 
 
 def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]):
@@ -573,17 +593,6 @@ def _streams(base_seed: int, idx: np.ndarray) -> list:
     return gens
 
 
-def _own_pages(rows: int, cols: int) -> np.ndarray:
-    """Zeroed floats on a mapping of their own, off the malloc heap (README: the noise
-    buffer); while tracemalloc traces (Track returns 0), reported as numpy reports its buffers."""
-    pages = mmap.mmap(-1, rows * cols * 8, flags=mmap.MAP_PRIVATE)
-    out = np.frombuffer(pages).reshape(rows, cols)
-    domain, addr = ctypes.c_uint(np.lib.tracemalloc_domain), ctypes.c_size_t(out.ctypes.data)
-    if ctypes.pythonapi.PyTraceMalloc_Track(domain, addr, ctypes.c_size_t(out.nbytes)) == 0:
-        weakref.finalize(pages, ctypes.pythonapi.PyTraceMalloc_Untrack, domain, addr)
-    return out
-
-
 def _check_counts(base_seed, first_index, n_paths, zeno_cap, batch_size=1) -> None:
     """Integer run inputs, bools refused: stream keys (seed >= 0, path indices
     first_index .. first_index + n_paths - 1 below 2**32), jump cap and batch size >= 1."""
@@ -611,11 +620,12 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
     d = model.dimension
     lo_idx, hi_idx = paths
     gaussian = isinstance(initial_law, GaussianInitial)
+    _check_start(model, initial_law.mode, initial_law.mean if gaussian else initial_law.position)
     n_init = initial_law.mean.size if gaussian else 0
     # a path's initial-law normals and its first noise chunk come from one
     # draw call; split draws concatenate, so the stream layout is unchanged
     width = min(width or _NOISE_BUDGET // (8 * (n_init + _CHUNK_STEPS * d)), hi_idx - lo_idx)
-    draws = _own_pages(width, n_init + _CHUNK_STEPS * d)
+    draws = np.zeros((width, n_init + _CHUNK_STEPS * d))
     kernel = _Kernel(model)
 
     # path state per row; a dead row has a negative mode until the next refill
@@ -650,8 +660,8 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
                 new_pos = initial_law.mean + initial_law.std * draws[live : live + new.size, :n_init]
             else:
                 new_pos = np.tile(initial_law.position, (new.size, 1))
-            if not np.all(model.modes[initial_law.mode].domain.contains(new_pos)):
-                raise SimulationError(f"initial law produced points outside mode {initial_law.mode}")
+            if not np.all(model.modes[initial_law.mode].domain.gaps(new_pos) < 0.0):
+                raise StartOnBoundary(f"initial law produced points not strictly inside mode {initial_law.mode}")
             zero = np.zeros(new.size, dtype=np.int64)
             mode, pos, t, term, n_jumps, next_cp = (
                 np.concatenate([row[keep], add]) for row, add in zip(
@@ -792,7 +802,7 @@ def simulate_path(
         model, PointMass(initial.mode, initial.position), (path_index, path_index + 1), rng_seed,
         checkpoints, np.arange(n_cp), dt, zeno_cap, rec, 1,
     )
-    modes = rec.mode_at[:, 0]
+    modes = rec.mode_at[:, 0].astype(np.int64)
     positions = rec.pos_at[:, 0]
     positions[modes < 0] = np.nan
     # the last jump tells how the path was absorbed, if it was

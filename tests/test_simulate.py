@@ -34,7 +34,6 @@ from resetsde.simulate import (
     CharacteristicFaceHit,
     SimulationError,
     _checkpoints,
-    _own_pages,
     _pcg_seeds,
     _streams,
     GaussianInitial,
@@ -591,9 +590,10 @@ class TestEnsemble:
 
     def test_engine_memory_does_not_grow_with_the_ensemble(self):
         # the five-step ruin above at the default paths in flight: doubling N
-        # adds only the recorder's output slots (mode, position and terminal
-        # per output time) and its output cursor, 32 B per path here; one batch
-        # of every path added about 930 B per path
+        # adds only the recorder's output slots, n_out * (8d + 2) + 1 = 11 B
+        # per path here (an 8 B position, one-byte mode and terminal codes per
+        # output time, a one-byte output cursor); int64 codes and cursor took
+        # 32 B, and one batch of every path added about 930 B per path
         model, law = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01)
         ensemble(model, law, 10, 0.05, 1e-2, [0.05], base_seed=1)   # imports stay outside the peak
         peaks = []
@@ -605,7 +605,8 @@ class TestEnsemble:
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
             finally:
                 tracemalloc.stop()
-        recorder = 60_000 * (1 * 24 + 8)
+        n_out, d = 1, 1
+        recorder = 60_000 * (n_out * (8 * d + 2) + 1)
         assert peaks[1] - peaks[0] <= 1.1 * recorder, peaks
 
     def test_memory_per_path_is_bounded(self):
@@ -624,8 +625,10 @@ class TestEnsemble:
         assert peak / n < 1_440, peak / n
 
     def test_memory_per_path_is_bounded_across_batches(self):
-        # one recorder for the run: about 185 B per path here, 128 B of them in
-        # its slots, against 272 with a recorder per batch concatenated at the end
+        # one recorder for the run: about 110 B per path here, 51 B of them in
+        # its slots (5 output times), against 186 with int64 mode and terminal
+        # codes and cursor (128 B of slots) and 272 with a recorder per batch
+        # concatenated at the end
         model, law, n = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01), 20_000
         times = [0.1, 0.25, 0.5, 1.0, 2.0]
         ensemble(model, law, 10, 2.0, 1e-3, times, base_seed=1)   # imports stay outside the peak
@@ -636,24 +639,7 @@ class TestEnsemble:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak / n < 200, peak / n
-
-    def test_noise_buffer_is_traced_while_it_lives(self):
-        # the buffer's own mapping is reported to tracemalloc, so the memory
-        # tests above see it, and withdrawn when it is unmapped
-        size = 1_000 * 65 * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            buf = _own_pages(1_000, 65)
-            held = tracemalloc.get_traced_memory()[0] - before
-            assert buf.shape == (1_000, 65) and buf.flags.writeable and not buf.any()
-            del buf
-            left = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held >= size, held
-        assert held - left >= size, (held, left)
+        assert peak / n < 120, peak / n
 
     def test_repeated_output_time_rejected(self):
         # one output slot per checkpoint: a repeated time would leave a slot
@@ -672,6 +658,13 @@ class TestEnsemble:
             ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 4, horizon, dt, [0.1], base_seed=1)
         with pytest.raises(SimulationError, match="finite"):
             simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), horizon, dt, rng_seed=1)
+
+    def test_zero_horizon_rejected(self):
+        # a zero horizon indexed past the end of the checkpoints
+        with pytest.raises(SimulationError, match="horizon must be positive"):
+            ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 4, 0.0, 1e-2, [0.0], base_seed=1)
+        with pytest.raises(SimulationError, match="horizon must be positive"):
+            simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), 0.0, 1e-2, rng_seed=1)
 
     def test_nan_output_time_rejected(self):
         with pytest.raises(SimulationError, match="output times"):
@@ -738,6 +731,89 @@ def narrow_paths():
         )
         for i in range(NARROW["n_paths"])
     ]
+
+
+class TestStartChecks:
+    """Initial laws and start states the engine cannot run are refused by name."""
+
+    @pytest.mark.parametrize("mode", [3, -1, 1.0, True])
+    def test_start_mode_out_of_range(self, mode):
+        # mode 3 raised an IndexError, and -1 indexed the last mode
+        with pytest.raises(SimulationError, match="start mode"):
+            ensemble(gamblers_ruin_model(), GaussianInitial(mode, [0.3], 0.01), 4, 0.1, 1e-2, [0.1], base_seed=1)
+        with pytest.raises(SimulationError, match="start mode"):
+            simulate_path(gamblers_ruin_model(), PathState(mode, None, np.array([0.3]), 0.0), 0.1, 1e-2, rng_seed=1)
+        with pytest.raises(SimulationError, match="start mode"):
+            step(gamblers_ruin_model(), PathState(mode, None, np.array([0.3]), 0.0), 1e-2, [0.1])
+
+    def test_start_point_of_the_wrong_dimension(self):
+        # a 2-vector start on the 1D model failed inside np.concatenate
+        with pytest.raises(SimulationError, match="1 coordinates, got 2"):
+            ensemble(gamblers_ruin_model(), PointMass(0, [0.3, 0.4]), 4, 0.1, 1e-2, [0.1], base_seed=1)
+        with pytest.raises(SimulationError, match="1 coordinates, got 2"):
+            simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3, 0.4]), 0.1, 1e-2, rng_seed=1)
+        # step returned a 2-vector position on the 1D model
+        with pytest.raises(SimulationError, match="1 coordinates, got 2"):
+            step(gamblers_ruin_model(), PathState.in_mode(0, [0.3, 0.4]), 1e-2, [0.1])
+
+    @pytest.mark.parametrize("std", [-0.01, np.nan, np.inf, [0.01, -0.01]])
+    def test_negative_or_non_finite_std(self, std):
+        # a negative std ran, drawing the mirror image of the law
+        with pytest.raises(SimulationError, match="std"):
+            GaussianInitial(0, [0.3, 0.4], std)
+
+    @pytest.mark.parametrize("where", [0.0, 1.0, np.nan])
+    def test_start_on_a_face_or_outside(self, where):
+        # a start on a face ran, and each path's first proposal decided
+        # whether it was absorbed at once
+        with pytest.raises(StartOnBoundary, match="strictly inside mode 0"):
+            ensemble(gamblers_ruin_model(), PointMass(0, [where]), 4, 0.1, 1e-2, [0.1], base_seed=1)
+        with pytest.raises(StartOnBoundary, match="strictly inside mode 0"):
+            simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [where]), 0.1, 1e-2, rng_seed=1)
+
+
+class TestCodeWidths:
+    """The recorder stores mode and terminal codes and its output cursor in
+    the narrowest types that hold them; outputs are the same at every width."""
+
+    def test_more_than_255_output_times(self):
+        # the cursor needs uint16; dead paths fill up to 299 slots at once
+        times = np.arange(1, 301) * 1e-3
+        kwargs = dict(
+            initial_law=GaussianInitial(0, [0.3], 0.01), n_paths=60, horizon=0.3, dt=1e-3,
+            output_times=times, base_seed=2,
+        )
+        base = ensemble(gamblers_ruin_model(), **kwargs)
+        other = ensemble(gamblers_ruin_model(), batch_size=7, **kwargs)
+        assert 0 < sum(base.terminal_counts[-1].values()) < 60
+        for k in range(times.size):
+            # no slot left at _MODE_UNSET
+            in_modes = base.mode_clouds[k][0].shape[0]
+            assert in_modes + sum(base.terminal_counts[k].values()) + int(base.zeno_counts[k]) == 60, k
+            assert base.mode_clouds[k][0].tobytes() == other.mode_clouds[k][0].tobytes(), k
+            assert base.terminal_counts[k] == other.terminal_counts[k], k
+
+    def test_modes_above_127_keep_their_code(self):
+        # int8 codes would wrap mode 128 to -128, and its paths would leave the
+        # clouds; a ring of 130 unit intervals under Brownian motion, where the
+        # left face absorbs and the right face of mode q resets to 0.5 in mode q + 1
+        mode = Mode(interval_domain(0.0, 1.0), VectorFieldSet(zero_field(1), (constant_field([1.0]),)))
+        edges = []
+        for q in range(130):
+            edges += [
+                ResetEdge(q, 0, TerminalTarget("out")),
+                ResetEdge(q, 1, SurfaceTarget((q + 1) % 130, AffineMap([[0.0]], [0.5]))),
+            ]
+        model = build_model(ModelSpec(1, [mode] * 130, edges, terminal_states=["out"]))
+        measure = ensemble(model, PointMass(128, [0.5]), 200, 0.5, 1e-2, [0.0, 0.1, 0.5], base_seed=3)
+        assert measure.mode_clouds[0][128].shape == (200, 1)
+        for k in range(3):
+            in_modes = sum(cloud.shape[0] for cloud in measure.mode_clouds[k])
+            assert in_modes + measure.terminal_counts[k].get("out", 0) == 200, k
+        assert measure.mode_clouds[2][128].size and measure.mode_clouds[2][129].size
+        # a single trajectory's modes stay int64 whatever the slots hold
+        traj = simulate_path(model, PathState.in_mode(128, [0.5]), 0.5, 1e-2, rng_seed=3)
+        assert traj.modes.dtype == np.int64 and traj.modes[0] == 128
 
 
 class TestResetTables:
