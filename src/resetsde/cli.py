@@ -33,7 +33,7 @@ from resetsde.model import (
     build_model,
 )
 from resetsde.scenarios import SCENARIOS, ScenarioError, load_scenario
-from resetsde.simulate import GaussianInitial, ensemble
+from resetsde.simulate import GaussianInitial, SimulationError, ensemble
 from resetsde.validate import ValidationReport, compare_mc_pde, flux_continuity_residual, mass_balance
 
 
@@ -302,7 +302,10 @@ def _bundle_from_config(config: RunConfig) -> dict:
             raise SchemaError(f"scenario_options: {exc}") from None
     model = _parse_inline_model(config.inline_model)
     mode, mean, std = (_require(config.inline_initial, k, "initial") for k in ("mode", "mean", "std"))
-    law = GaussianInitial(int(mode), mean, std)
+    try:
+        law = GaussianInitial(int(mode), mean, std)
+    except SimulationError as exc:
+        raise SchemaError(f"initial: {exc}") from None
     cells = [None] * len(model.modes)
     cells[int(mode)] = _ProductGaussianCells(mean, std)
     lo, hi = model.modes[0].domain.box

@@ -19,22 +19,29 @@ buffer allocated once whose rows follow the state rows, so a step reads one
 column block; a path's initial-law normals share one draw call with its
 first chunk.  The hot loop advances all rows in lockstep: one proposal per
 iteration, landing exactly on the next time-grid point unless a boundary
-crossing truncates it.  Dead paths stay in the state arrays, marked by a
-negative mode, until the chunk is used up; at the refill they are dropped
-with their streams and the next queued paths, in index order, take the free
-rows.  Memory is thus set by W; only the output slots grow with the paths.
+crossing truncates it.  Rows on the grid read the step length and its root
+from per-checkpoint tables; only a row that a jump left between checkpoints
+computes its own.  Dead paths stay in the state arrays, marked by a negative
+mode and parked at a NaN position so that they never cross or arrive again,
+until the chunk is used up; at the refill they fill their remaining output
+slots in one record and are dropped with their streams, and the next queued
+paths, in index order, take the free rows.  Memory is thus set by W; only
+the output slots grow with the paths.
 
 One stepping kernel proposes steps, tests face gaps and looks up resets on
 per-path rows of per-mode tables: every model's face geometry and reset
 targets, plus the drift and noise coefficients when every drift is affine
 and every noise column constant; other fields are stepped mode by mode.
-Terminal exits apply in one pass; surface images go by (mode, face) group.
-The loop only steps: one recorder per run owns every path's output slots,
-the terms of the expectation identity (phi(X_0), phi(X_t), the integral of
-L phi and the jump sums) and the jump events, one column per path.  The
-single-state `step`, `detect_hit` and `apply_reset` share the engine's
-batched implementations on a batch of one, and `simulate_path` runs the
-engine on one path whose output times are all its checkpoints.
+Every crossing takes its post-jump mode and terminal code from the reset
+tables in one pass.  A terminal exit needs no jump count, and no hit point
+or jump time unless the recorder reads them; surface images go by (mode,
+face) group.  The loop only steps: one recorder per run owns every path's
+output slots, the terms of the expectation identity (phi(X_0), phi(X_t),
+the integral of L phi and the jump sums) and the jump events, one column
+per path.  The single-state `step`, `detect_hit` and `apply_reset` share
+the engine's batched implementations on a batch of one, and
+`simulate_path` runs the engine on one path whose output times are all its
+checkpoints.
 """
 
 from __future__ import annotations
@@ -169,7 +176,12 @@ class GaussianInitial:
     def __init__(self, mode: int, mean, std):
         self.mode = mode
         self.mean = np.asarray(mean, dtype=float).reshape(-1)
-        self.std = np.broadcast_to(np.asarray(std, dtype=float), self.mean.shape).copy()
+        std_in = np.asarray(std, dtype=float)
+        try:
+            self.std = np.broadcast_to(std_in, self.mean.shape).copy()
+        except ValueError:
+            message = f"initial std {std!r} does not broadcast to the mean's shape {self.mean.shape}"
+            raise SimulationError(message) from None
         if not np.all(np.isfinite(self.std) & (self.std >= 0.0)):
             raise SimulationError(f"initial std must be finite and >= 0, got {std!r}")
 
@@ -187,9 +199,9 @@ def _first_crossing(gs, ge):
     (inf when no face is crossed) and face.
     """
     crossing = ge >= 0.0
-    denom = np.where(crossing, gs - ge, 1.0)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    frac = np.where(crossing, np.where(gs < 0.0, gs / denom, 0.0), np.inf)
+    frac = np.where(crossing, 0.0, np.inf)
+    # a face crossed from inside has gs < 0 <= ge, so gs - ge < 0 there
+    np.divide(gs, gs - ge, out=frac, where=crossing & (gs < 0.0))
     return np.min(frac, axis=1), np.argmin(frac, axis=1)
 
 
@@ -262,6 +274,9 @@ def detect_hit(domain, start, end):
     """
     start = np.asarray(start, dtype=float).reshape(1, -1)
     end = np.asarray(end, dtype=float).reshape(1, -1)
+    for name, point in (("start", start), ("end", end)):
+        if point.size != domain.dimension:
+            raise SimulationError(f"segment {name} must have {domain.dimension} coordinates, got {point.size}")
     gs = domain.gaps(start)
     if np.any(gs >= 0.0):
         raise StartOnBoundary("segment start is not strictly inside the domain")
@@ -299,10 +314,11 @@ class _Kernel:
     one gathered expression advances a mixed-mode batch; other fields have no
     row form and are stepped mode by mode.  Tables and rows keep the path
     axis last, so gaps come face by face over contiguous rows.  A path's rows
-    are refreshed only when it changes mode.  The reset tables, indexed by
-    mode * f_max + face, hold the post-jump mode (_MODE_TERMINAL for an exit,
-    _MODE_UNSET for a characteristic or padded face) and terminal index (-1
-    for none).
+    are refreshed only when it changes mode; with one mode, the rows are the
+    tables themselves, broadcast along the path axis.  The reset tables,
+    indexed by mode * f_max + face, hold the post-jump mode (_MODE_TERMINAL
+    for an exit, _MODE_UNSET for a characteristic or padded face) and
+    terminal index (-1 for none).
     """
 
     def __init__(self, model: HybridModel):
@@ -324,7 +340,8 @@ class _Kernel:
                 row.update(b_mat=m.fields.drift.matrix, b_off=m.fields.drift.offset, noise=noise)
             per_mode.append(row)
         self.tables = {key: np.stack([row[key] for row in per_mode], axis=-1).astype(float) for key in per_mode[0]}
-        self.rows = {key: table[..., :0] for key, table in self.tables.items()}
+        self.one_mode = len(model.modes) == 1
+        self.rows = self.tables if self.one_mode else {key: table[..., :0] for key, table in self.tables.items()}
         self.post_mode = np.full(len(model.modes) * f_max, _MODE_UNSET, dtype=np.int64)
         self.post_term = np.full(self.post_mode.size, -1, dtype=np.int64)
         for (q, f), i in model.face_edges.items():
@@ -336,16 +353,20 @@ class _Kernel:
     def admit(self, keep: np.ndarray, modes: np.ndarray) -> None:
         """Keep the rows where keep is set and append rows for paths in modes
         (take and compress keep the path axis contiguous, as gaps reads it)."""
+        if self.one_mode:
+            return
         self.rows = {key: np.concatenate([self.rows[key].compress(keep, axis=-1), table.take(modes, axis=-1)], axis=-1)
                      for key, table in self.tables.items()}
 
     def update_rows(self, rows: np.ndarray, modes: np.ndarray) -> None:
+        if self.one_mode:
+            return
         for key, table in self.tables.items():
             self.rows[key][..., rows] = table[..., modes]
 
     def propose(self, modes, theta, delta, sqrt_delta, xi):
         if not self.affine:
-            # dead rows keep their positions, so the gap test reads no garbage
+            # dead rows keep their NaN positions, so they never cross
             out = theta.copy()
             for q in np.unique(modes[modes >= 0]).tolist():
                 sel = modes == q
@@ -357,19 +378,26 @@ class _Kernel:
                 out[sel] = pts + move
             return out
         b_mat, b_off, noise = self.rows["b_mat"], self.rows["b_off"], self.rows["noise"]
+        # in place, summing b_off + b_mat[i, 0] theta_0 + ... and then each
+        # noise term in that order, which fixes every rounding
         out = np.empty_like(theta)
         for i in range(self.d):
-            acc = b_off[i]
-            for j in range(self.d):
-                acc = acc + b_mat[i, j] * theta[:, j]
-            acc = acc * delta
+            acc = b_mat[i, 0] * theta[:, 0]
+            acc += b_off[i]
+            for j in range(1, self.d):
+                acc += b_mat[i, j] * theta[:, j]
+            acc *= delta
             for r in range(self.d):
-                acc = acc + noise[i, r] * (xi[:, r] * sqrt_delta)
-            out[:, i] = theta[:, i] + acc
+                kick = xi[:, r] * sqrt_delta
+                kick *= noise[i, r]
+                acc += kick
+            np.add(theta[:, i], acc, out=out[:, i])
         return out
 
     def gaps(self, points, rows=slice(None)):
         """(faces, points) gaps of each point to the faces of its row."""
+        if self.one_mode:
+            rows = slice(None)
         normals = self.rows["normals"][..., rows]
         g = normals[:, 0] * points[:, 0]
         for j in range(1, self.d):
@@ -615,7 +643,15 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
     at most width in flight (None: as many as _NOISE_BUDGET holds) and admitted
     in index order as rows die.
 
-    out_of_cp maps each checkpoint to its output slot (-1 for none).
+    out_of_cp maps each checkpoint to its output slot (-1 for none).  A row
+    that dies (a terminal exit, the jump cap, or the horizon) takes a negative
+    mode and a NaN position, so it never crosses or arrives again.  Its state,
+    codes, running integral and jump sum are then final, so the rows that died
+    since the last refill fill their remaining output slots in one record at
+    the next refill, and once more at the end.  A terminal exit takes its
+    terminal code from the reset tables and counts no jump; its hit point and
+    time are computed only when the recorder reads them (test functions or
+    jump events).
     """
     d = model.dimension
     lo_idx, hi_idx = paths
@@ -627,18 +663,29 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
     width = min(width or _NOISE_BUDGET // (8 * (n_init + _CHUNK_STEPS * d)), hi_idx - lo_idx)
     draws = np.zeros((width, n_init + _CHUNK_STEPS * d))
     kernel = _Kernel(model)
+    reads = bool(rec.phis) or rec.jumps is not None   # hit points and times of every crossing
 
-    # path state per row; a dead row has a negative mode until the next refill
+    # path state per row; a dead row stays until the next refill
     gens, queued = [], lo_idx
     mode, pos = np.zeros(0, dtype=np.int64), np.zeros((0, d))
-    t, term, n_jumps, next_cp = np.zeros(0), mode, mode, mode
+    term, n_jumps, next_cp = mode, mode, mode
+    # rows that a jump left between checkpoints, and their times; every other
+    # live row sits on checkpoint next_cp - 1 (or at t = 0 when next_cp is 1)
+    off, off_t = mode, np.zeros(0)
 
     n_cp = len(checkpoints)
-    # stop_at[c]: an arrival at checkpoint c - 1 does work (an output time or the
-    # horizon); padded for dead rows, which step on past the horizon until the refill
-    stop_at = np.zeros(n_cp + _CHUNK_STEPS + 1, dtype=bool)
+    # tables by next checkpoint c, padded for dead rows, which step on past the
+    # horizon until the refill: stop_at[c], whether an arrival at checkpoint
+    # c - 1 does work (an output time or the horizon); ahead[c], the checkpoint
+    # a row steps to; steps[c] and roots[c], the length of a step from the grid
+    # and its square root
+    n_tab = n_cp + _CHUNK_STEPS + 1
+    stop_at = np.zeros(n_tab, dtype=bool)
     stop_at[1 : n_cp + 1] = out_of_cp >= 0
     stop_at[n_cp] = True
+    ahead = checkpoints[np.minimum(np.arange(n_tab), n_cp - 1)]
+    steps = ahead - np.concatenate([[0.0, 0.0], ahead[1:-1]])
+    roots = np.sqrt(steps)
     cursor = n_dead = 0
 
     while queued < hi_idx or n_dead < mode.size:
@@ -646,6 +693,10 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
             # no live row holds unread noise, so the dead rows go now, the live
             # rows move to the front and the next queued paths take the free rows
             keep = mode >= 0
+            if n_dead:
+                rec.record(np.flatnonzero(~keep), mode, pos, term, to_end=True)
+            if off.size:
+                off = np.cumsum(keep)[off] - 1
             gens = list(compress(gens, keep))
             live = len(gens)
             for row, gen in zip(draws[:, n_init:], gens):
@@ -663,10 +714,9 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
             if not np.all(model.modes[initial_law.mode].domain.gaps(new_pos) < 0.0):
                 raise StartOnBoundary(f"initial law produced points not strictly inside mode {initial_law.mode}")
             zero = np.zeros(new.size, dtype=np.int64)
-            mode, pos, t, term, n_jumps, next_cp = (
+            mode, pos, term, n_jumps, next_cp = (
                 np.concatenate([row[keep], add]) for row, add in zip(
-                    (mode, pos, t, term, n_jumps, next_cp),
-                    (new_mode, new_pos, np.zeros(new.size), zero - 1, zero, zero + 1),
+                    (mode, pos, term, n_jumps, next_cp), (new_mode, new_pos, zero - 1, zero, zero + 1),
                 )
             )
             kernel.admit(keep, new_mode)
@@ -678,83 +728,88 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
         xi = buf[:, cursor : cursor + d]
         cursor += d
 
-        # dead rows step too, but never cross or arrive; past the horizon
-        # they stay on the last checkpoint
-        cps = checkpoints[np.minimum(next_cp, n_cp - 1)]
-        delta = cps - t
-        sqrt_delta = np.sqrt(delta)
+        delta, sqrt_delta = steps[next_cp], roots[next_cp]
+        if off.size:
+            delta[off] = ahead[next_cp[off]] - off_t
+            sqrt_delta[off] = np.sqrt(delta[off])
         start_pos = pos
         theta_new = kernel.propose(mode, start_pos, delta, sqrt_delta, xi)
 
-        # crossing fractions only for the paths that actually left the domain
+        # crossing fractions only for the paths that left the domain; a dead
+        # row steps from NaN, so it never crosses
         ge = kernel.gaps(theta_new)
-        hit = np.logical_or.reduce(ge >= 0.0, axis=0)
-        crossed = np.flatnonzero(hit & (mode >= 0))
-        s = hit_pts = None
+        crossed = np.flatnonzero(np.logical_or.reduce(ge >= 0.0, axis=0))
+        rows, s, hit_pts = crossed, None, None
         if crossed.size:
-            gs = kernel.gaps(start_pos[crossed], crossed)
-            s, faces = _first_crossing(gs.T, ge[:, crossed].T)
-            hit_pts = start_pos[crossed] + s[:, None] * (theta_new[crossed] - start_pos[crossed])
-        rec.segments(mode, start_pos, theta_new, delta, crossed, s, hit_pts)
+            start = start_pos[crossed]
+            s, faces = _first_crossing(kernel.gaps(start, crossed).T, ge[:, crossed].T)
+            keys = mode[crossed] * kernel.f_max + faces
+            post = kernel.post_mode[keys]
+            exits = post == _MODE_TERMINAL
+            any_exit = exits.any()
+            if any_exit:
+                gone, gone_term = crossed[exits], kernel.post_term[keys[exits]]
+            # hit points and jump times of the surface hits, and of the terminal
+            # exits when the recorder reads them
+            if any_exit and not reads:
+                jumped = ~exits
+                rows = crossed[jumped]
+                if rows.size:
+                    s, start, keys = s[jumped], start[jumped], keys[jumped]
+            if rows.size:
+                length, landing = delta[rows], ahead[next_cp[rows]]
+                hit_pts = start + s[:, None] * (theta_new[rows] - start)
+                tau = (landing - length) + s * length
+        rec.segments(mode, start_pos, theta_new, delta, rows, s, hit_pts)
 
         # commit the common case: land exactly on the next checkpoint
         pos = theta_new
-        t = cps
         next_cp += 1
 
-        resync = np.empty(0, dtype=np.int64)
+        off = crossed[:0]
         if crossed.size:
-            tau = (t[crossed] - delta[crossed]) + s * delta[crossed]
-            t[crossed] = tau
-            next_cp[crossed] -= 1
-            n_jumps[crossed] += 1
-
-            # the reset tables apply every crossing at once; surface images go
-            # by (mode, face) group, in that order, and so do terminal exits
-            # when the recorder reads their hit points for jump sums or events
-            keys = mode[crossed] * kernel.f_max + faces
-            post = kernel.post_mode[keys]
-            term[crossed] = kernel.post_term[keys]
-            pos[crossed[post == _MODE_TERMINAL]] = np.nan
-            grouped = keys if rec.phis or rec.jumps is not None else keys[post != _MODE_TERMINAL]
-            for key in np.unique(grouped).tolist():
+            mode[crossed] = post
+            n_dead += crossed.size   # less the surface hits that stay live, below
+            if any_exit:
+                term[gone] = gone_term
+                pos[gone] = np.nan
+        if rows.size:
+            # images, jump sums and jump events go by (mode, face) group, in that order
+            for key in np.unique(keys).tolist():
                 q, f = divmod(key, kernel.f_max)
                 sel = np.flatnonzero(keys == key)
                 pts = _onto_face(model.modes[q].domain, f, hit_pts[sel])
                 target, image = _reset(model, q, f, pts)
                 if image is not None:
-                    pos[crossed[sel]] = image
-                rec.reset(crossed[sel], q, f, pts, tau[sel], target, image)
+                    pos[rows[sel]] = image
+                rec.reset(rows[sel], q, f, pts, tau[sel], target, image)
+            hits, hit_tau = rows, tau
+            if any_exit and reads:
+                surface = ~exits
+                hits, hit_tau, landing = rows[surface], tau[surface], landing[surface]
+            # zeno guard: paths that exhausted their jump budget are parked
+            n_jumps[hits] += 1
+            capped = n_jumps[hits] >= zeno_cap
+            if capped.any():
+                mode[hits[capped]] = _MODE_ZENO
+                pos[hits[capped]] = np.nan
+                kept = ~capped
+                hits, hit_tau, landing = hits[kept], hit_tau[kept], landing[kept]
+            kernel.update_rows(hits, mode[hits])
+            n_dead -= hits.size
+            # a jump landing on (or an ulp past) its checkpoint arrives there;
+            # the others stay between checkpoints for one step
+            early = hit_tau < landing
+            off, off_t = hits[early], hit_tau[early]
+            next_cp[off] -= 1
 
-            # zeno guard: flag paths that exhausted their jump budget
-            post[(n_jumps[crossed] >= zeno_cap) & (post >= 0)] = _MODE_ZENO
-            mode[crossed] = post
-            live = post >= 0
-
-            newly_dead = crossed[~live]
-            if newly_dead.size:
-                rec.record(newly_dead, mode, pos, term, to_end=True)
-                n_dead += newly_dead.size
-
-            live_hits = crossed[live]
-            if live_hits.size:
-                kernel.update_rows(live_hits, post[live])
-                # a jump landing on (or an ulp past) a checkpoint arrives there
-                resync = live_hits[t[live_hits] >= checkpoints[next_cp[live_hits]]]
-                if resync.size:
-                    t[resync] = checkpoints[next_cp[resync]]
-                    next_cp[resync] += 1
-
-        # checkpoint arrivals: every non-crossing live path, plus resyncs; rows
+        # checkpoint arrivals: every live row whose step was not cut short; rows
         # admitted at different refills sit at different checkpoints, so only
         # the rows arriving at a stop checkpoint are read
         arr_mask = stop_at[next_cp]
         if np.any(arr_mask):
             arr_mask &= mode >= 0
-            if crossed.size:
-                resync_mask = arr_mask[resync]
-                arr_mask[crossed] = False
-                arr_mask[resync] = resync_mask
+            arr_mask[off] = False
             arrivals = np.flatnonzero(arr_mask)
             arrived = next_cp[arrivals] - 1
             with_out = arrivals[out_of_cp[arrived] >= 0]
@@ -762,7 +817,9 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
                 rec.record(with_out, mode, pos, term)
             done = arrivals[arrived == n_cp - 1]
             mode[done] = _MODE_UNSET
+            pos[done] = np.nan
             n_dead += done.size
+    rec.record(np.arange(mode.size), mode, pos, term, to_end=True)
 
 
 # ---------------------------------------------------------------------------

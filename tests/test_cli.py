@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -310,6 +311,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    @pytest.mark.parametrize("std", [[0.1, 0.2], -0.1])
+    def test_bad_inline_initial_std_is_a_config_error(self, tmp_path, capsys, std):
+        # a std longer than the mean ended in "error: ValueError: operands could
+        # not be broadcast ...", a negative one in "error: SimulationError: ..."
+        payload = {
+            "model": {
+                "modes": [{"box": [[0.0], [1.0]], "drift": {"matrix": [[0.0]], "offset": [0.0]},
+                           "diffusion": [{"matrix": [[0.0]], "offset": [1.0]}]}],
+                "reset_edges": [{"source_mode": 0, "source_face": f, "terminal": "out"} for f in (0, 1)],
+                "terminal_states": ["out"],
+            },
+            "initial": {"mode": 0, "mean": [0.5], "std": std},
+            "method": "mc", "horizon": 0.1, "output_times": [0.1], "dt": 1e-2, "ensemble_size": 10,
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert main(["run", str(write_config(tmp_path, payload))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial: initial std") and repr(std) in err
+
     @pytest.mark.parametrize("params", [{"psi_max": 21.005}, {"psi_min": 18.995}, {"box_margin": 1.285}])
     def test_off_grid_thermostat_params_are_a_config_error(self, tmp_path, capsys, params):
         # a threshold off the cell faces ended in "error: MisalignedH" from the solver
@@ -336,3 +356,40 @@ class TestMain:
         path = write_config(tmp_path, payload)
         assert main(["validate", str(path)]) == 0
         assert (tmp_path / "out" / "report.json").exists()
+
+
+class TestGoldenArtifacts:
+    """Every `resetsde run` artifact of a gamblers' ruin config, by digest.
+
+    The config is the benchmark's `ruin_both` workload: 50,000 paths by Monte
+    Carlo and the forward solver, with the validation report.  The digest is
+    sha256 over the sorted file names and bytes.  Any change that moves an
+    artifact byte fails here.  The digests hold for numpy 2.4.6 (with scipy
+    1.17.1 on Python 3.11); another numpy may format or draw differently.
+    """
+
+    CONFIG = {
+        "scenario": "gamblers_ruin",
+        "scenario_options": {"params": {"x0": 0.3, "initial_std": 0.01}},
+        "method": "both",
+        "horizon": 2.0,
+        "dt": 1e-3,
+        "resolution": 50,
+        "output_times": [0.1, 0.25, 0.5, 1.0, 2.0],
+        "ensemble_size": 50_000,
+        "threads": 1,
+    }
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "249f3233cd119f644f8f904f3a1eb30691155f9d344982b128a4f773a401561b"),
+        (2, "730eea9dd285fc80485bb112c47a5c521ebc906e571a6ac1eef11e4b193b5097"),
+    ], ids=["seed1", "seed2"])
+    def test_ruin_both_artifacts(self, tmp_path, seed, digest):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(self.CONFIG, base_seed=seed, output_dir=str(out)))
+        assert main(["run", str(path)]) == 0
+        h = hashlib.sha256()
+        for artifact in sorted(out.iterdir()):
+            h.update(artifact.name.encode())
+            h.update(artifact.read_bytes())
+        assert h.hexdigest() == digest

@@ -223,6 +223,18 @@ class TestDetectHit:
         with pytest.raises(StartOnBoundary):
             detect_hit(dom, [0.0], [0.5])
 
+    @pytest.mark.parametrize("domain, start, end, message", [
+        (gamblers_ruin_model().modes[0].domain, [0.3, 0.1], [0.5], "start must have 1 coordinates, got 2"),
+        (interval_domain(0.0, 1.0), [0.3], [0.5, 0.1], "end must have 1 coordinates, got 2"),
+        (interval_domain(0.0, 1.0), [0.3, 0.1], [1.5, 0.1], "start must have 1 coordinates, got 2"),
+        (box_domain([0.0, 0.0], [1.0, 1.0]), [0.5], [0.5, 0.5], "start must have 2 coordinates, got 1"),
+    ])
+    def test_points_of_the_wrong_dimension_rejected(self, domain, start, end, message):
+        # the gaps broadcast a 2-vector against the interval's normals, so the
+        # first case answered None (no crossing)
+        with pytest.raises(SimulationError, match=f"segment {message}"):
+            detect_hit(domain, start, end)
+
 
 class TestApplyReset:
     def test_thermostat_switch_keeps_position(self):
@@ -762,6 +774,12 @@ class TestStartChecks:
         with pytest.raises(SimulationError, match="std"):
             GaussianInitial(0, [0.3, 0.4], std)
 
+    @pytest.mark.parametrize("mean, std", [([0.3], [0.1, 0.2]), ([0.3, 0.4], [0.1, 0.2, 0.3]), ([0.3], [[0.1]])])
+    def test_std_that_does_not_broadcast_to_the_mean(self, mean, std):
+        # a std with more entries than the mean raised numpy's broadcast ValueError
+        with pytest.raises(SimulationError, match=r"initial std .* does not broadcast to the mean's shape"):
+            GaussianInitial(0, mean, std)
+
     @pytest.mark.parametrize("where", [0.0, 1.0, np.nan])
     def test_start_on_a_face_or_outside(self, where):
         # a start on a face ran, and each path's first proposal decided
@@ -817,9 +835,11 @@ class TestCodeWidths:
 
 
 class TestResetTables:
-    """Terminal crossings go through the kernel's reset tables in one pass;
-    surface images, and the hit points that test functions and jump events
-    read, go by (mode, face) group."""
+    """Every crossing takes its post-jump mode and terminal code from the
+    kernel's reset tables; surface images, and the hit points and times that
+    test functions and jump events read, go by (mode, face) group.  A row that
+    dies records its remaining output slots at the next refill or at the end
+    of the run."""
 
     def test_single_paths_equal_ensembles_with_and_without_test_functions(self, narrow_paths):
         model, trajs = narrow_paths
@@ -876,6 +896,67 @@ class TestResetTables:
                 assert base.terminal_counts[k] == other.terminal_counts[k]
                 for q in range(2):
                     assert base.mode_clouds[k][q].tobytes() == other.mode_clouds[k][q].tobytes()
+            for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+                assert np.array_equal(getattr(base.dynkin[0], name), getattr(other.dynkin[0], name)), name
+
+    def test_exits_read_by_a_test_function_leave_the_measure_unchanged(self):
+        # a test function makes every terminal exit compute its hit point and
+        # time; phi = exp(x) on the faces x = 0 and 1 gives the jump sums
+        # 2 - 1 and 3 - e exactly
+        kwargs = dict(
+            initial_law=GaussianInitial(0, [0.3], 0.01), n_paths=2_000, horizon=0.5, dt=1e-3,
+            output_times=[0.1, 0.25, 0.5], base_seed=12,
+        )
+        plain = ensemble(gamblers_ruin_model(), **kwargs)
+        for batch_size in (None, 17):
+            read = ensemble(gamblers_ruin_model(), test_functions=[ruin_phi()], batch_size=batch_size, **kwargs)
+            assert np.array_equal(plain.zeno_counts, read.zeno_counts)
+            for k in range(3):
+                assert plain.terminal_counts[k] == read.terminal_counts[k], (batch_size, k)
+                assert plain.mode_clouds[k][0].tobytes() == read.mode_clouds[k][0].tobytes(), (batch_size, k)
+            jump_sum = read.dynkin[0].jump_sum[-1]
+            assert np.sum(jump_sum == 1.0) == plain.terminal_counts[-1]["left"] > 0
+            assert np.sum(jump_sum == 3.0 - math.e) == plain.terminal_counts[-1]["right"] > 0
+            assert np.sum(jump_sum == 0.0) == plain.mode_clouds[-1][0].shape[0] > 0
+
+    def test_deaths_after_the_last_refill_are_recorded_at_the_end(self):
+        # 100 steps: with every path in flight the last refill comes after step
+        # 64, so the paths that exit in steps 65-100 fill their slots only when
+        # the run ends; with one path in flight each death is followed by a refill
+        kwargs = dict(
+            initial_law=GaussianInitial(0, [0.3], 0.01), n_paths=200, horizon=1.0, dt=1e-2,
+            output_times=[0.5, 0.64, 0.9, 1.0], base_seed=3, test_functions=[ruin_phi()],
+        )
+        base = ensemble(gamblers_ruin_model(), **kwargs)
+        exits = [sum(counts.values()) for counts in base.terminal_counts]
+        assert exits[1] < exits[2] < exits[3] < 200, exits
+        for k in range(4):
+            assert base.mode_clouds[k][0].shape[0] + exits[k] + int(base.zeno_counts[k]) == 200, k
+        for batch_size in widths(200):
+            other = ensemble(gamblers_ruin_model(), batch_size=batch_size, **kwargs)
+            for k in range(4):
+                assert base.terminal_counts[k] == other.terminal_counts[k], (batch_size, k)
+                assert base.mode_clouds[k][0].tobytes() == other.mode_clouds[k][0].tobytes(), (batch_size, k)
+            for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+                assert np.array_equal(getattr(base.dynkin[0], name), getattr(other.dynkin[0], name)), name
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_small_zeno_caps_independent_of_batch_size(self, cap):
+        # capped rows die at their cap-th reset and are parked like exits
+        phi = TestFunction(
+            lambda q, pts: pts[:, 0], lambda q, pts: -5.0 + 0.0 * pts[:, 0], terminal_values={"far": 7.0}
+        )
+        kwargs = dict(horizon=0.3, dt=1e-3, output_times=[0.05, 0.1, 0.3], base_seed=13, zeno_cap=cap)
+        base = ensemble(zeno_model(), PointMass(0, [0.5]), 120, test_functions=[phi], **kwargs)
+        assert base.zeno_counts[0] == 0 < base.zeno_counts[1] < base.zeno_counts[2] == 120
+        assert np.array_equal(np.sum(~base.dynkin[0].alive, axis=1), base.zeno_counts)
+        for batch_size in widths(120):
+            other = ensemble(zeno_model(), PointMass(0, [0.5]), 120, test_functions=[phi], batch_size=batch_size,
+                             **kwargs)
+            assert np.array_equal(base.zeno_counts, other.zeno_counts), batch_size
+            for k in range(3):
+                assert base.terminal_counts[k] == other.terminal_counts[k]
+                assert base.mode_clouds[k][0].tobytes() == other.mode_clouds[k][0].tobytes()
             for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
                 assert np.array_equal(getattr(base.dynkin[0], name), getattr(other.dynkin[0], name)), name
 
