@@ -13,8 +13,8 @@ import difflib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ _KEY_ALIASES = {
 _DEFAULT_TOLERANCES = {"l1": 0.1, "terminal": 0.05, "mass": 1e-8}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     scenario: str | None
     scenario_options: dict
     inline_model: dict | None
@@ -94,7 +93,7 @@ class RunConfig:
     base_seed: int
     zeno_cap: int | None
     output_dir: str
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict
 
 
 def _suggest(key: str) -> str:
@@ -146,6 +145,8 @@ def load_config(path, overrides=None) -> RunConfig:
         raise SchemaError(
             f"unknown scenario {scenario!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
+    if inline_model is not None and not isinstance(inline_model, dict):
+        raise SchemaError(f"model must be an object, got {inline_model!r}")
     if inline_model is not None and raw.get("initial") is None:
         raise SchemaError("'initial' is required with an inline model")
 
@@ -189,6 +190,8 @@ def load_config(path, overrides=None) -> RunConfig:
         raise SchemaError(f"output_dir must be a nonempty string, got {output_dir!r}")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
+    if not isinstance(raw.get("tolerances", {}), dict):
+        raise SchemaError(f"tolerances must be an object, got {raw['tolerances']!r}")
     for key, value in raw.get("tolerances", {}).items():
         if key not in tolerances:
             raise SchemaError(f"unknown tolerance {key!r}; known: {', '.join(tolerances)}")
@@ -234,7 +237,7 @@ def _affine_from(obj, what) -> AffineField:
 
 
 def _parse_inline_model(doc: dict):
-    d = int(doc.get("dimension", 1))
+    d = _integer(doc, "dimension", 1, 1)
     modes = []
     for i, mspec in enumerate(doc.get("modes", [])):
         if "box" in mspec:

@@ -36,14 +36,14 @@ bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from resetsde.model import (
     HybridModel,
     TerminalTarget,
+    _Record,
     classify_boundary,
     ito_coefficients,
 )
@@ -92,8 +92,7 @@ class NegativeOutflux(SolverError):
 # grid layout
 
 
-@dataclass(frozen=True)
-class ModeGrid:
+class ModeGrid(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     shape: tuple[int, ...]
@@ -125,8 +124,7 @@ class ModeGrid:
         return np.stack(mesh, axis=-1)
 
 
-@dataclass(frozen=True)
-class TransferTable:
+class TransferTable(NamedTuple):
     """Precomputed face correspondence of one surface-target edge."""
 
     edge_index: int
@@ -141,8 +139,7 @@ class TransferTable:
     source_area: float
 
 
-@dataclass(frozen=True)
-class TerminalTable:
+class TerminalTable(NamedTuple):
     edge_index: int
     source_mode: int
     src_axis: int
@@ -150,15 +147,17 @@ class TerminalTable:
     terminal: str
 
 
-@dataclass
-class GridLayout:
-    """Per-mode uniform grids plus boundary and reset correspondence tables."""
+class GridLayout(_Record):
+    """Per-mode uniform grids plus boundary and reset correspondence tables,
+    and the caches of what is built once per grid."""
 
-    model: HybridModel
-    mode_grids: tuple[ModeGrid, ...]
-    surface_tables: tuple[TransferTable, ...]
-    terminal_tables: tuple[TerminalTable, ...]
-    _caches: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("model", "mode_grids", "surface_tables", "terminal_tables", "_caches")
+
+    def __init__(self, model: HybridModel, mode_grids: tuple[ModeGrid, ...],
+                 surface_tables: tuple[TransferTable, ...], terminal_tables: tuple[TerminalTable, ...]):
+        self.model, self.mode_grids = model, mode_grids
+        self.surface_tables, self.terminal_tables = surface_tables, terminal_tables
+        self._caches = {}
 
     @property
     def dimension(self) -> int:
@@ -380,13 +379,13 @@ def _transfer_table(mode_grids, edge, axis, side):
 # density state
 
 
-@dataclass
-class DensityState:
+class DensityState(_Record):
     """Cell-averaged mode densities, terminal masses, and the current time."""
 
-    p: list
-    q: dict
-    t: float = 0.0
+    __slots__ = ("p", "q", "t")
+
+    def __init__(self, p: list, q: dict, t: float = 0.0):
+        self.p, self.q, self.t = p, q, t
 
     def copy(self) -> "DensityState":
         return DensityState([arr.copy() for arr in self.p], dict(self.q), self.t)
@@ -450,8 +449,7 @@ def project_density(grid: GridLayout, mode_fns: Sequence[Callable | None]) -> De
     return DensityState([a / mass for a in arrays], q0, 0.0)
 
 
-@dataclass
-class GhostedDensity:
+class GhostedDensity(NamedTuple):
     """Mode densities padded by one ghost ring enforcing p = 0 on each face."""
 
     padded: list
@@ -512,8 +510,7 @@ def _face_points(mg: ModeGrid, axis: int) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
-@dataclass(frozen=True)
-class ForwardOperator:
+class ForwardOperator(NamedTuple):
     """The linear forward operator of a grid as (rows, cols, vals) triplets.
 
     Cells are numbered mode by mode in C order; mode q starts at

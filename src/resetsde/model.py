@@ -8,8 +8,7 @@ or onto isolated terminal states.  Models are immutable after `build_model`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +47,41 @@ class DegenerateResetMap(ModelError):
 
 class GeometryError(ModelError):
     """A domain is malformed (empty interior, bad normals, unusable face)."""
+
+
+# ---------------------------------------------------------------------------
+# records: the plain ones are NamedTuples; these are for the others
+
+
+class _Record:
+    """`__slots__` record with field-wise equality and the repr
+    `Name(field=value, ...)`, for records that normalise their inputs, hold
+    caches or change.  Fields named with a leading underscore stay out of
+    the repr."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")
+        return f"{type(self).__name__}({shown})"
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` whose `__init__` sets each field once, by `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +160,14 @@ def finite_difference_jacobian(fn, points: np.ndarray) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-@dataclass(frozen=True)
-class VectorFieldSet:
+class VectorFieldSet(_FrozenRecord):
     """Drift field plus exactly d diffusion fields (zero fields allowed)."""
 
-    drift: AffineField | NumericalField
-    diffusion: tuple
+    __slots__ = ("drift", "diffusion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "diffusion", tuple(self.diffusion))
+    def __init__(self, drift: AffineField | NumericalField, diffusion: Sequence):
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "diffusion", tuple(diffusion))
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +307,14 @@ def interval_domain(lo: float, hi: float) -> PolyDomain:
 # reset targets and edges
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_FrozenRecord):
     """theta -> R theta + b."""
 
-    matrix: np.ndarray
-    offset: np.ndarray
+    __slots__ = ("matrix", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(-1))
+    def __init__(self, matrix: np.ndarray | Sequence, offset: np.ndarray | Sequence):
+        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(matrix, dtype=float)))
+        object.__setattr__(self, "offset", np.asarray(offset, dtype=float).reshape(-1))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -294,19 +325,16 @@ class AffineMap:
         return AffineMap(np.eye(dimension), np.zeros(dimension))
 
 
-@dataclass(frozen=True)
-class TerminalTarget:
+class TerminalTarget(NamedTuple):
     terminal: str
 
 
-@dataclass(frozen=True)
-class SurfaceTarget:
+class SurfaceTarget(NamedTuple):
     mode: int
     map: AffineMap
 
 
-@dataclass(frozen=True)
-class ResetEdge:
+class ResetEdge(NamedTuple):
     """Declarative reset edge: a source face and where it maps; one edge per face."""
 
     source_mode: int
@@ -314,8 +342,7 @@ class ResetEdge:
     target: TerminalTarget | SurfaceTarget
 
 
-@dataclass(frozen=True)
-class BoundEdge:
+class BoundEdge(NamedTuple):
     """Reset edge with geometry resolved against the built model."""
 
     index: int
@@ -327,14 +354,12 @@ class BoundEdge:
     jacobian_value: float
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(NamedTuple):
     domain: PolyDomain
     fields: VectorFieldSet
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """Declarative model description consumed by `build_model`."""
 
     dimension: int
@@ -344,14 +369,13 @@ class ModelSpec:
     characteristic_faces: Sequence[tuple[int, int]] = ()
 
 
-@dataclass(frozen=True)
-class HybridModel:
+class HybridModel(NamedTuple):
     dimension: int
     modes: tuple[Mode, ...]
     terminal_states: tuple[str, ...]
     reset_edges: tuple[BoundEdge, ...]
     characteristic_faces: frozenset
-    face_edges: dict = field(repr=False)   # (mode, face) -> index of its reset edge
+    face_edges: dict   # (mode, face) -> index of its reset edge
 
     def edge_for_face(self, mode: int, face: int) -> BoundEdge:
         if (mode, face) not in self.face_edges:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from types import MappingProxyType
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class ScenarioError(ValueError):
 # thermostat
 
 
-@dataclass(frozen=True)
-class ThermostatParams:
+class ThermostatParams(NamedTuple):
     """Two-mode switching system: mode 0 cools toward theta_off, mode 1 heats
     toward theta_on; switching when the linear criterion alpha . theta crosses
     the thresholds.
@@ -192,8 +191,7 @@ def thermostat_resolution(params: ThermostatParams, dx: float) -> list:
 # first-exit problems
 
 
-@dataclass(frozen=True)
-class FirstExitParams:
+class FirstExitParams(NamedTuple):
     """SDE on a polytope U with the boundary partitioned into labelled pieces.
 
     `partition` maps each face index of U to a terminal-state name; several
@@ -203,7 +201,7 @@ class FirstExitParams:
     domain: PolyDomain
     drift: object
     diffusion: tuple
-    partition: dict = field(default_factory=dict)
+    partition: dict = MappingProxyType({})   # read-only, never a shared mutable default
 
     def labels(self) -> tuple[str, ...]:
         seen = []
@@ -285,8 +283,7 @@ def gamblers_ruin_left_probability(x0: float) -> float:
     return 1.0 - x0
 
 
-@dataclass(frozen=True)
-class GaussianCells:
+class GaussianCells(NamedTuple):
     """Exact cell averages of a 1D normal density, for grid projection."""
 
     mean: float
@@ -323,7 +320,7 @@ def _params(options: dict, known) -> dict:
 
 
 def _thermostat_bundle(options: dict):
-    known = [f.name for f in fields(ThermostatParams) if f.name != "dimension"]
+    known = [name for name in ThermostatParams._fields if name != "dimension"]
     params = ThermostatParams(**_params(options, known))
     return {
         "model": thermostat_model(params),

@@ -46,9 +46,8 @@ checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,8 +83,7 @@ class CharacteristicFaceHit(SimulationError):
 # states, trajectories, measures
 
 
-@dataclass(frozen=True)
-class PathState:
+class PathState(NamedTuple):
     """Mode-or-terminal tag with position (absent when terminal) and time."""
 
     mode: int | None
@@ -102,8 +100,7 @@ class PathState:
         return PathState(None, terminal, None, time)
 
 
-@dataclass(frozen=True)
-class JumpEvent:
+class JumpEvent(NamedTuple):
     time: float
     mode: int
     face: int
@@ -111,8 +108,7 @@ class JumpEvent:
     post: PathState
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """One sample path on a fixed time grid plus its ordered jump events."""
 
     times: np.ndarray
@@ -124,8 +120,7 @@ class Trajectory:
     zeno_flag: bool = False
 
 
-@dataclass
-class EmpiricalMeasure:
+class EmpiricalMeasure(NamedTuple):
     """Per-output-time mode point clouds, terminal counts, and zeno exclusions."""
 
     times: np.ndarray
@@ -134,7 +129,7 @@ class EmpiricalMeasure:
     zeno_counts: np.ndarray
     size: int
     base_seed: int
-    dynkin: list = field(default_factory=list)
+    dynkin: Sequence = ()
 
     def time_index(self, t: float, tol: float = 1e-9) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -146,8 +141,7 @@ class EmpiricalMeasure:
         return self.terminal_counts[self.time_index(t)].get(terminal, 0) / self.size
 
 
-@dataclass
-class DynkinRecord:
+class DynkinRecord(NamedTuple):
     """Per-path ingredients of the expectation identity, per output time."""
 
     phi0: np.ndarray             # (N,)
@@ -528,19 +522,19 @@ def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]):
     """Sorted checkpoints: the step grid k*dt, the output times and the horizon.
 
     An output time within _SNAP_REL * dt of a grid point or of the horizon is
-    snapped onto it, and a grid point that close to the horizon is dropped,
-    so no two checkpoints are a rounding-sized step apart.  Returns the
-    checkpoints and the checkpoint index of each output time.
+    snapped onto it, and a grid point other than t = 0 that close to the
+    horizon is dropped, so no two checkpoints are a rounding-sized step apart
+    unless the horizon itself is that short.  Returns the checkpoints (the
+    first is t = 0) and the checkpoint index of each output time.
     """
     times = np.asarray(output_times, dtype=float)
     if not np.all((times >= 0.0) & (times <= horizon + 1e-12)):
         raise SimulationError("output times must lie inside [0, horizon]")
     snap = _SNAP_REL * dt
     grid = np.arange(0.0, horizon, dt)
-    grid = grid[grid < horizon - snap]
-    if grid.size:
-        nearest = grid[np.minimum(np.rint(times / dt).astype(np.int64), grid.size - 1)]
-        times = np.where(np.abs(times - nearest) <= snap, nearest, times)
+    grid = grid[(grid < horizon - snap) | (grid == 0.0)]
+    nearest = grid[np.minimum(np.rint(times / dt).astype(np.int64), grid.size - 1)]
+    times = np.where(np.abs(times - nearest) <= snap, nearest, times)
     times = np.where(np.abs(times - horizon) <= snap, horizon, times)
     points = np.unique(np.concatenate([grid, times, [horizon]]))
     return points, np.searchsorted(points, times)
@@ -637,7 +631,7 @@ def _check_counts(base_seed, first_index, n_paths, zeno_cap, batch_size=1) -> No
 # the path engine
 
 
-def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_cp, dt, zeno_cap,
+def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_cp, zeno_cap,
          rec: _Recorder, width):
     """Advance the paths of the index range paths into rec's columns 0, 1, ...,
     at most width in flight (None: as many as _NOISE_BUDGET holds) and admitted
@@ -857,7 +851,7 @@ def simulate_path(
     rec = _Recorder(model, n_cp, 1, events=True)
     _run(
         model, PointMass(initial.mode, initial.position), (path_index, path_index + 1), rng_seed,
-        checkpoints, np.arange(n_cp), dt, zeno_cap, rec, 1,
+        checkpoints, np.arange(n_cp), zeno_cap, rec, 1,
     )
     modes = rec.mode_at[:, 0].astype(np.int64)
     positions = rec.pos_at[:, 0]
@@ -908,7 +902,7 @@ def ensemble(
 
     rec = _Recorder(model, n_out, n_paths, test_functions)
     if n_paths:
-        _run(model, initial_law, (0, n_paths), base_seed, checkpoints, out_of_cp, dt, zeno_cap, rec, batch_size)
+        _run(model, initial_law, (0, n_paths), base_seed, checkpoints, out_of_cp, zeno_cap, rec, batch_size)
 
     mode_at, names = rec.mode_at, model.terminal_states
     mode_clouds, terminal_counts = [], []

@@ -4,13 +4,13 @@ PDE distances, and the flux-continuity residual at reset-image faces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from resetsde.fpk import DensityState, GridLayout, total_mass
-from resetsde.model import HybridModel, SurfaceTarget
+from resetsde.model import HybridModel, SurfaceTarget, _Record
 from resetsde.simulate import EmpiricalMeasure
 
 
@@ -170,20 +170,21 @@ class SmoothBump:
 # reports
 
 
-@dataclass
-class Metric:
+class Metric(NamedTuple):
     name: str
     value: float
     tolerance: float
     passed: bool
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = MappingProxyType({})
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(_Record):
     """Named metrics with tolerances, pass flags, and oracle provenance."""
 
-    metrics: list = field(default_factory=list)
+    __slots__ = ("metrics",)
+
+    def __init__(self, metrics: list | None = None):
+        self.metrics = [] if metrics is None else metrics
 
     def add(self, name: str, value: float, tolerance: float, provenance: dict | None = None) -> Metric:
         metric = Metric(name, float(value), float(tolerance), bool(abs(value) <= tolerance), dict(provenance or {}))
@@ -203,16 +204,7 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.all_passed,
-            "metrics": [
-                {
-                    "name": m.name,
-                    "value": m.value,
-                    "tolerance": m.tolerance,
-                    "passed": m.passed,
-                    "provenance": m.provenance,
-                }
-                for m in self.metrics
-            ],
+            "metrics": [m._asdict() for m in self.metrics],
         }
 
 
@@ -256,8 +248,7 @@ def mass_balance(grid: GridLayout, density: DensityState) -> float:
     return total_mass(grid, density)
 
 
-@dataclass
-class StokesField:
+class StokesField(NamedTuple):
     """Face-sampled vector field for the discrete divergence identity.
 
     `vector(mode, points) -> (k, d)` samples the field, `divergence(mode,

@@ -330,6 +330,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: initial: initial std") and repr(std) in err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"tolerances": [1]}, "tolerances"),
+        ({"model": [1]}, "model"),
+        ({"model": {"dimension": "x"}}, "dimension"),
+    ], ids=["tolerances_list", "model_list", "model_string_dimension"])
+    def test_malformed_documents_are_config_errors(self, tmp_path, capsys, change, key):
+        # these printed "error: AttributeError: ..." or "error: ValueError: invalid literal for int()"
+        payload = {"method": "mc", "horizon": 0.1, "dt": 1e-2, "ensemble_size": 10, "output_dir": str(tmp_path / "out")}
+        source = {"initial": {"mode": 0, "mean": [0.5], "std": 0.1}} if "model" in change else {"scenario": "gamblers_ruin"}
+        assert main(["run", str(write_config(tmp_path, {**payload, **source, **change}))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be")
+
+    def test_horizon_below_the_snap_runs_one_step(self, tmp_path):
+        # t = 0 was dropped from the time grid and the run ended in an IndexError
+        payload = {"scenario": "gamblers_ruin", "method": "mc", "horizon": 1e-12, "dt": 1.0,
+                   "output_times": [1e-12], "ensemble_size": 4, "output_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, payload))]) == 0
+        lines = (tmp_path / "out" / "mc_terminal_mass.csv").read_text().splitlines()
+        assert lines[1:] == ["9.9999999999999998e-13,0,0,0"]
+
     @pytest.mark.parametrize("params", [{"psi_max": 21.005}, {"psi_min": 18.995}, {"box_margin": 1.285}])
     def test_off_grid_thermostat_params_are_a_config_error(self, tmp_path, capsys, params):
         # a threshold off the cell faces ended in "error: MisalignedH" from the solver

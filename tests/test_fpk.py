@@ -1057,6 +1057,20 @@ class TestForwardOperator:
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_import_loads_every_module_without_dataclasses(self):
+        # records are NamedTuples or __slots__ classes; as dataclasses they
+        # took about 15 ms of a fresh import
+        code = (
+            "import sys, resetsde\n"
+            "assert 'dataclasses' not in sys.modules, 'dataclasses loaded'\n"
+            "names = ('model', 'simulate', 'fpk', 'validate', 'scenarios')\n"
+            "missing = [n for n in names if 'resetsde.' + n not in sys.modules]\n"
+            "assert not missing, f'not loaded: {missing}'\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_negative_outflux_step_takes_the_clamping_path(self):
         # a small negative edge cell drives the raw boundary outflux below
         # zero; that step must equal the clamped three-point step

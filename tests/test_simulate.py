@@ -391,6 +391,23 @@ class TestCheckpoints:
         with pytest.raises(SimulationError):
             _checkpoints(1.0, 0.1, [1.5])
 
+    def test_horizon_below_the_snap_keeps_t0(self):
+        # t = 0 was dropped as a grid point within rounding of the horizon,
+        # and the run ended in an IndexError
+        points, idx = _checkpoints(1e-12, 1.0, [1e-12])
+        assert points.tolist() == [0.0, 1e-12] and idx.tolist() == [1]
+
+    def test_ensemble_over_a_horizon_below_the_snap_takes_one_step(self):
+        measure = ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 4, 1e-12, 1.0, [1e-12], base_seed=1)
+        cloud = measure.mode_clouds[0][0]
+        assert measure.times.tolist() == [1e-12] and measure.terminal_counts == [{}]
+        assert cloud.shape == (4, 1) and np.all(np.abs(cloud - 0.3) < 1e-5) and np.all(cloud != 0.3)
+
+    def test_path_over_a_horizon_below_the_snap_takes_one_step(self):
+        traj = simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), horizon=1e-12, dt=1.0, rng_seed=1)
+        assert traj.times.tolist() == [0.0, 1e-12] and traj.modes.tolist() == [0, 0]
+        assert traj.positions[0, 0] == 0.3 and abs(traj.positions[1, 0] - 0.3) < 1e-5
+
     def test_snapped_output_time_reproduces_the_grid_time_run(self):
         model = brownian_reset_model()
         kwargs = dict(
