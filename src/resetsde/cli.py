@@ -59,7 +59,7 @@ _TOP_LEVEL_KEYS = {
     "ensemble_size": "number of Monte-Carlo paths (default 10000)",
     "base_seed": "master seed for per-path streams (default 0)",
     "zeno_cap": "max jumps per path (default 10^4 per unit horizon)",
-    "threads": "accepted and ignored (an integer >= 1); ensembles run in one thread",
+    "threads": "accepted and ignored (an integer >= 1); ensembles choose their process count",
     "output_dir": "directory for artifacts (default 'out')",
     "tolerances": "object {l1, terminal, mass} for the validation verdict",
 }
@@ -229,6 +229,22 @@ def _require(obj, key: str, what: str):
     return obj[key]
 
 
+def _list(doc: dict, key: str) -> list:
+    """doc[key] of an inline model, a list (default empty), or a SchemaError naming the key."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"model.{key} must be a list, got {value!r}")
+    return value
+
+
+def _index(obj, key: str, what: str) -> int:
+    """obj[key] of an inline-model object as an integer >= 0."""
+    value = _require(obj, key, what)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"{what} {key} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _affine_from(obj, what) -> AffineField:
     try:
         return AffineField(obj["matrix"], obj["offset"])
@@ -239,7 +255,9 @@ def _affine_from(obj, what) -> AffineField:
 def _parse_inline_model(doc: dict):
     d = _integer(doc, "dimension", 1, 1)
     modes = []
-    for i, mspec in enumerate(doc.get("modes", [])):
+    for i, mspec in enumerate(_list(doc, "modes")):
+        if not isinstance(mspec, dict):
+            raise SchemaError(f"model.modes[{i}] must be an object, got {mspec!r}")
         if "box" in mspec:
             lo, hi = mspec["box"]
             domain = box_domain(lo, hi)
@@ -261,25 +279,28 @@ def _parse_inline_model(doc: dict):
         modes.append(Mode(domain, VectorFieldSet(drift, diffusion)))
 
     edges = []
-    for j, espec in enumerate(doc.get("reset_edges", [])):
-        source_mode = int(_require(espec, "source_mode", f"reset edge {j}"))
-        source_face = int(_require(espec, "source_face", f"reset edge {j}"))
+    for j, espec in enumerate(_list(doc, "reset_edges")):
+        source_mode = _index(espec, "source_mode", f"reset edge {j}")
+        source_face = _index(espec, "source_face", f"reset edge {j}")
         if "terminal" in espec:
             target = TerminalTarget(str(espec["terminal"]))
         elif "target_mode" in espec:
             amap, what = _require(espec, "map", f"reset edge {j}"), f"reset edge {j} map"
             amap = AffineMap(_require(amap, "matrix", what), _require(amap, "offset", what))
-            target = SurfaceTarget(int(espec["target_mode"]), amap)
+            target = SurfaceTarget(_index(espec, "target_mode", f"reset edge {j}"), amap)
         else:
             raise SchemaError(f"reset edge {j} needs 'terminal' or 'target_mode'")
         edges.append(ResetEdge(source_mode, source_face, target))
 
+    faces = _list(doc, "characteristic_faces")
+    if not all(isinstance(fc, list) and len(fc) == 2 for fc in faces):
+        raise SchemaError(f"model.characteristic_faces must be a list of [mode, face] pairs, got {faces!r}")
     spec = ModelSpec(
         d,
         modes,
         edges,
-        terminal_states=[str(s) for s in doc.get("terminal_states", [])],
-        characteristic_faces=[tuple(fc) for fc in doc.get("characteristic_faces", [])],
+        terminal_states=[str(s) for s in _list(doc, "terminal_states")],
+        characteristic_faces=[tuple(fc) for fc in faces],
     )
     return build_model(spec)
 

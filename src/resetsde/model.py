@@ -83,6 +83,18 @@ class _FrozenRecord(_Record):
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
 
+    def __reduce__(self):
+        # pickle and copy would restore the slots by setattr, which is refused
+        return _rebuild_frozen, (type(self), self._values())
+
+
+def _rebuild_frozen(cls, values):
+    """A `_FrozenRecord` of class cls whose fields take values, in slot order."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
 
 # ---------------------------------------------------------------------------
 # vector fields

@@ -28,6 +28,13 @@ slots in one record and are dropped with their streams, and the next queued
 paths, in index order, take the free rows.  Memory is thus set by W; only
 the output slots grow with the paths.
 
+A path's stream and output columns depend on its index alone, so a range of
+indices is an independent job.  An ensemble of N paths runs as
+min(usable cores, ceil(N / W)) contiguous ranges: the calling process runs
+the first, and spawned worker processes run the others, each into a recorder
+of its own whose slots are copied into the caller's columns.  The outputs
+are those of one process, byte for byte.
+
 One stepping kernel proposes steps, tests face gaps and looks up resets on
 per-path rows of per-mode tables: every model's face geometry and reset
 targets, plus the drift and noise coefficients when every drift is affine
@@ -46,6 +53,7 @@ checkpoints.
 
 from __future__ import annotations
 
+import os
 from itertools import compress
 from typing import NamedTuple, Sequence
 
@@ -502,6 +510,17 @@ class _Recorder:
             self.jsum_at[k, slots, at_cols] = self.jsum[k, at]
         self.out_pos[cols] = first + counts
 
+    def blocks(self, lo: int, hi: int) -> list:
+        """Contiguous views that together hold columns lo .. hi - 1 of every
+        output slot, in the same order for any recorder of the run: one view
+        per row of each slot array, seen as rows of paths."""
+        n, d = self.out_pos.size, self.pos_at.shape[2]
+        views = []
+        for arr, w in ((self.pos_at, d), (self.mode_at, 1), (self.term_at, 1), (self.phi0, 1),
+                       (self.phi_t, 1), (self.intL_at, 1), (self.jsum_at, 1)):
+            views += list(arr.reshape(-1, n * w)[:, lo * w : hi * w])
+        return views
+
 
 def _check_time_grid(horizon: float, dt: float):
     if not 0.0 < dt < np.inf:
@@ -631,6 +650,13 @@ def _check_counts(base_seed, first_index, n_paths, zeno_cap, batch_size=1) -> No
 # the path engine
 
 
+def _width(initial_law, d: int, width) -> int:
+    """Paths in flight: width, or by default as many rows (the initial law's
+    normals and one chunk of steps) as _NOISE_BUDGET holds."""
+    n_init = initial_law.mean.size if isinstance(initial_law, GaussianInitial) else 0
+    return width or _NOISE_BUDGET // (8 * (n_init + _CHUNK_STEPS * d))
+
+
 def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_cp, zeno_cap,
          rec: _Recorder, width):
     """Advance the paths of the index range paths into rec's columns 0, 1, ...,
@@ -654,7 +680,7 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
     n_init = initial_law.mean.size if gaussian else 0
     # a path's initial-law normals and its first noise chunk come from one
     # draw call; split draws concatenate, so the stream layout is unchanged
-    width = min(width or _NOISE_BUDGET // (8 * (n_init + _CHUNK_STEPS * d)), hi_idx - lo_idx)
+    width = min(_width(initial_law, d, width), hi_idx - lo_idx)
     draws = np.zeros((width, n_init + _CHUNK_STEPS * d))
     kernel = _Kernel(model)
     reads = bool(rec.phis) or rec.jumps is not None   # hit points and times of every crossing
@@ -817,6 +843,115 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
 
 
 # ---------------------------------------------------------------------------
+# path ranges in separate processes
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_part(job: tuple, lo: int, hi: int, base_seed: int) -> _Recorder:
+    """Run paths lo .. hi - 1 of job into a recorder of their own."""
+    model, initial_law, checkpoints, out_of_cp, zeno_cap, phis, width = job
+    rec = _Recorder(model, int(np.count_nonzero(out_of_cp >= 0)), hi - lo, phis)
+    _run(model, initial_law, (lo, hi), base_seed, checkpoints, out_of_cp, zeno_cap, rec, width)
+    return rec
+
+
+def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_parts: int) -> None:
+    """Run paths 0 .. n_paths - 1 of job into rec as n_parts contiguous index ranges.
+
+    job is (model, initial law, checkpoints, out_of_cp, zeno_cap, test
+    functions, width).  This process runs the first range into rec; each
+    other range runs in a spawned worker process (`_range_worker`), whose
+    output slots arrive block by block in rec's columns of that range.  A
+    job that does not pickle (a lambda in a field or test function), or an
+    ensemble in a daemon process, runs here as one range; a range whose
+    worker cannot load the job (functions of an interactive `__main__`)
+    runs here after the first.  A worker's exception is raised here.  The
+    workers are daemons, terminated if the run fails and joined before this
+    returns.
+    """
+    model, initial_law, checkpoints, out_of_cp, zeno_cap, _, width = job
+    bounds, workers = [0, n_paths], []
+    if n_parts > 1:
+        import multiprocessing
+        import pickle
+
+        try:
+            blob = pickle.dumps(job)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            blob = None
+        # a daemon process may not start processes of its own
+        if blob is not None and not multiprocessing.current_process().daemon:
+            bounds = [n_paths * i // n_parts for i in range(n_parts + 1)]
+            ctx = multiprocessing.get_context("spawn")
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            reply_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_range_worker, args=(blob, lo, hi, base_seed, send_end), daemon=True)
+            workers.append((proc, reply_end, lo, hi))
+            with send_end:   # the worker holds the only other copy, so its exit ends the pipe
+                proc.start()
+        _run(model, initial_law, (0, bounds[1]), base_seed, checkpoints, out_of_cp, zeno_cap, rec, width)
+        for proc, reply_end, lo, hi in workers:
+            try:
+                reply = reply_end.recv()
+                if reply is None:
+                    for block in rec.blocks(lo, hi):
+                        reply_end.recv_bytes_into(block)
+            except EOFError:
+                proc.join()
+                raise SimulationError(
+                    f"the worker for paths {lo} .. {hi - 1} exited with code {proc.exitcode} before it replied"
+                ) from None
+            if reply == _UNLOADED:
+                part = _run_part(job, lo, hi, base_seed)
+                for mine, its in zip(rec.blocks(lo, hi), part.blocks(0, hi - lo)):
+                    mine[...] = its
+            elif reply is not None:
+                raise reply
+    except BaseException:
+        for proc, *_ in workers:
+            if proc.is_alive():
+                proc.terminate()
+        raise
+    finally:
+        for proc, reply_end, *_ in workers:
+            if proc.pid is not None:
+                proc.join()
+            reply_end.close()
+
+
+_UNLOADED = "job not loaded"  # a worker's reply when it cannot unpickle the job
+
+
+def _range_worker(blob: bytes, lo: int, hi: int, base_seed: int, conn) -> None:
+    """Worker process: run paths lo .. hi - 1 of a pickled job, then send
+    None and the output blocks, the exception that stopped the run, or
+    _UNLOADED when the job does not unpickle here."""
+    import pickle
+
+    with conn:
+        try:
+            job = pickle.loads(blob)
+        except Exception:  # noqa: BLE001 - the parent runs the range instead
+            conn.send(_UNLOADED)
+            return
+        try:
+            rec = _run_part(job, lo, hi, base_seed)
+        except Exception as exc:  # noqa: BLE001 - raised again by the parent
+            conn.send(exc)
+            return
+        conn.send(None)
+        for block in rec.blocks(0, hi - lo):
+            conn.send_bytes(block)
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 
 
@@ -881,9 +1016,17 @@ def ensemble(
     into a working set of at most batch_size paths in flight (by default as
     many as the noise budget holds, about 24,000 in 1D).
 
-    Identical inputs give bit-identical measures for any batch size.
-    Zeno-flagged paths are counted separately and excluded from the mode
-    clouds and terminal counts.
+    An ensemble larger than one working set is split into
+    min(usable cores, ceil(n_paths / batch_size)) contiguous path ranges:
+    this process runs the first and worker processes (the `spawn` start
+    method) run the others, so a script that calls this at top level needs
+    the `if __name__ == "__main__":` guard.  When the model, initial law or
+    test functions do not pickle (a lambda, say), every range runs here.  A
+    worker's exception is raised here with its type and message.
+
+    Identical inputs give bit-identical measures for any batch size and any
+    number of processes.  Zeno-flagged paths are counted separately and
+    excluded from the mode clouds and terminal counts.
     """
     _check_time_grid(horizon, dt)
     if zeno_cap is None:
@@ -902,7 +1045,9 @@ def ensemble(
 
     rec = _Recorder(model, n_out, n_paths, test_functions)
     if n_paths:
-        _run(model, initial_law, (0, n_paths), base_seed, checkpoints, out_of_cp, zeno_cap, rec, batch_size)
+        width = _width(initial_law, model.dimension, batch_size)
+        job = (model, initial_law, checkpoints, out_of_cp, zeno_cap, rec.phis, width)
+        _run_ranges(job, n_paths, base_seed, rec, min(_usable_cores(), -(-n_paths // width)))
 
     mode_at, names = rec.mode_at, model.terminal_states
     mode_clouds, terminal_counts = [], []

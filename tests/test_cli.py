@@ -343,6 +343,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} must be")
 
+    @pytest.mark.parametrize("model, key", [
+        ({"modes": [1]}, "model.modes[0]"),
+        ({"modes": "x"}, "model.modes"),
+        ({"terminal_states": 5}, "model.terminal_states"),
+        ({"reset_edges": [{"source_mode": "a", "source_face": 0, "terminal": "out"}]}, "source_mode"),
+        ({"characteristic_faces": [1]}, "model.characteristic_faces"),
+    ], ids=["mode_not_an_object", "modes_string", "terminal_states_int", "source_mode_string",
+            "characteristic_face_int"])
+    def test_malformed_inline_models_are_config_errors(self, tmp_path, capsys, model, key):
+        # these printed "error: TypeError", "error: AttributeError" or "error: ValueError"
+        payload = {"model": model, "initial": {"mode": 0, "mean": [0.5], "std": 0.1}, "method": "mc",
+                   "horizon": 0.1, "dt": 1e-2, "ensemble_size": 10, "output_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, payload))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err, err
+
     def test_horizon_below_the_snap_runs_one_step(self, tmp_path):
         # t = 0 was dropped from the time grid and the run ended in an IndexError
         payload = {"scenario": "gamblers_ruin", "method": "mc", "horizon": 1e-12, "dt": 1.0,

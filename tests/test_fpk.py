@@ -1059,10 +1059,12 @@ class TestForwardOperator:
 
     def test_import_loads_every_module_without_dataclasses(self):
         # records are NamedTuples or __slots__ classes; as dataclasses they
-        # took about 15 ms of a fresh import
+        # took about 15 ms of a fresh import.  multiprocessing loads only when
+        # an ensemble is split across processes
         code = (
             "import sys, resetsde\n"
             "assert 'dataclasses' not in sys.modules, 'dataclasses loaded'\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'\n"
             "names = ('model', 'simulate', 'fpk', 'validate', 'scenarios')\n"
             "missing = [n for n in names if 'resetsde.' + n not in sys.modules]\n"
             "assert not missing, f'not loaded: {missing}'\n"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from resetsde.model import SurfaceTarget, classify_boundary
 from resetsde.scenarios import (
     FirstExitParams,
     GaussianCells,
+    SCENARIOS,
     ScenarioError,
     ThermostatParams,
     analytic_first_passage,
@@ -186,6 +189,28 @@ class TestRegistry:
         for name in ("thermostat_1d", "brownian_reset", "gamblers_ruin"):
             bundle = load_scenario(name)
             assert "model" in bundle and "initial_law" in bundle
+
+    @pytest.mark.parametrize("copier", ["pickle", "deepcopy"])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_models_and_initial_laws_survive_pickle_and_deepcopy(self, name, copier):
+        # ensembles send the model and initial law to worker processes by
+        # pickle; the immutable records refused the setattr that restores slots
+        bundle = load_scenario(name)
+        if copier == "pickle":
+            model, law = pickle.loads(pickle.dumps((bundle["model"], bundle["initial_law"])))
+        else:
+            model, law = copy.deepcopy((bundle["model"], bundle["initial_law"]))
+        outputs = []
+        for m, l in ((bundle["model"], bundle["initial_law"]), (model, law)):
+            measure = ensemble(m, l, 300, 0.2, 1e-2, [0.1, 0.2], base_seed=3)
+            grid = build_grid(m, bundle["resolution"](bundle["default_dx"]))
+            state = evolve(m, grid, project_density(grid, bundle["initial_cells"]), stable_dt(grid, 0.9), 20)
+            outputs.append(
+                [cloud.tobytes() for clouds in measure.mode_clouds for cloud in clouds]
+                + [repr(measure.terminal_counts), measure.zeno_counts.tobytes()]
+                + [p.tobytes() for p in state.p] + [repr(state.q)]
+            )
+        assert outputs[0] == outputs[1]
 
     def test_unknown_name(self):
         with pytest.raises(ScenarioError, match="available"):

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -125,6 +127,55 @@ def ruin_phi():
         lambda q, pts: 0.5 * np.exp(pts[:, 0]),
         terminal_values={"left": 2.0, "right": 3.0},
     )
+
+
+def exp_value(q, pts):
+    """(q + 1) exp(x): module-level, so a test function built on it pickles."""
+    return (q + 1.0) * np.exp(pts[:, 0])
+
+
+def exp_generator(q, pts):
+    return 0.5 * (q + 1.0) * np.exp(pts[:, 0])
+
+
+def picklable_phi():
+    """A test function that can go to worker processes, with a value for every terminal state used here."""
+    return TestFunction(exp_value, exp_generator, terminal_values={"left": 2.0, "right": 3.0, "truncated": -1.0, "far": 0.5})
+
+
+def value_raising_in_workers(q, pts):
+    if multiprocessing.parent_process() is not None:
+        raise StartOnBoundary("raised in a worker's range")
+    return pts[:, 0]
+
+
+def value_raising_in_the_parent(q, pts):
+    if multiprocessing.parent_process() is None:
+        raise CharacteristicFaceHit("raised in the parent's range")
+    return pts[:, 0]
+
+
+def value_exiting_in_workers(q, pts):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return pts[:, 0]
+
+
+def _evaluator_loaded_in_the_parent_only():
+    if multiprocessing.parent_process() is not None:
+        raise AttributeError("Can't get attribute 'phi' on <module '__mp_main__'>")
+    return InteractiveMainEvaluator()
+
+
+class InteractiveMainEvaluator:
+    """exp_value as a function of an interactive __main__: it pickles, but a
+    spawned worker cannot load it."""
+
+    def __call__(self, q, pts):
+        return exp_value(q, pts)
+
+    def __reduce__(self):
+        return _evaluator_loaded_in_the_parent_only, ()
 
 
 class TestStep:
@@ -617,12 +668,14 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak < 50e6
 
-    def test_engine_memory_does_not_grow_with_the_ensemble(self):
+    def test_engine_memory_does_not_grow_with_the_ensemble(self, monkeypatch):
         # the five-step ruin above at the default paths in flight: doubling N
         # adds only the recorder's output slots, n_out * (8d + 2) + 1 = 11 B
         # per path here (an 8 B position, one-byte mode and terminal codes per
         # output time, a one-byte output cursor); int64 codes and cursor took
-        # 32 B, and one batch of every path added about 930 B per path
+        # 32 B, and one batch of every path added about 930 B per path.  One
+        # process, so that the engine runs where tracemalloc sees it
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 1)
         model, law = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01)
         ensemble(model, law, 10, 0.05, 1e-2, [0.05], base_seed=1)   # imports stay outside the peak
         peaks = []
@@ -653,11 +706,13 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak / n < 1_440, peak / n
 
-    def test_memory_per_path_is_bounded_across_batches(self):
+    def test_memory_per_path_is_bounded_across_batches(self, monkeypatch):
         # one recorder for the run: about 110 B per path here, 51 B of them in
         # its slots (5 output times), against 186 with int64 mode and terminal
         # codes and cursor (128 B of slots) and 272 with a recorder per batch
-        # concatenated at the end
+        # concatenated at the end.  One process, so that the engine runs
+        # where tracemalloc sees it
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 1)
         model, law, n = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01), 20_000
         times = [0.1, 0.25, 0.5, 1.0, 2.0]
         ensemble(model, law, 10, 2.0, 1e-3, times, base_seed=1)   # imports stay outside the peak
@@ -996,6 +1051,127 @@ def _last_row_outcome(full, before, t):
         if count > before.terminal_counts[k].get(name, 0):
             return -1, None, name
     raise AssertionError("the last path was zeno-flagged")
+
+
+def run_on_cores(monkeypatch, cores, *args, **kwargs):
+    """ensemble with `cores` usable cores: the measure, the bytes of its
+    recorder's output blocks, and how many paths had their output cursor
+    advanced in this process (a worker's range keeps its cursors)."""
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+    recorders, run_ranges = [], simulate._run_ranges
+
+    def spy(job, n_paths, base_seed, rec, n_parts):
+        recorders.append(rec)
+        run_ranges(job, n_paths, base_seed, rec, n_parts)
+
+    monkeypatch.setattr(simulate, "_run_ranges", spy)
+    measure = ensemble(*args, **kwargs)
+    rec = recorders[0]
+    return measure, [block.tobytes() for block in rec.blocks(0, measure.size)], int(np.count_nonzero(rec.out_pos))
+
+
+class TestProcessRanges:
+    """Ensembles larger than one working set run as contiguous path ranges in
+    up to one process per usable core, with the outputs of one process."""
+
+    @pytest.mark.parametrize("case", ["thermostat_1d", "gamblers_ruin", "zeno_capped", "three_uneven_ranges"])
+    def test_ranges_match_one_process(self, monkeypatch, case):
+        ruin = (gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05))
+        ruin_kwargs = dict(horizon=0.5, dt=1e-3, output_times=[0.1, 0.5], base_seed=6)
+        model, law, n, kwargs, cores = {
+            "thermostat_1d": (thermostat_model(), thermostat_initial(), 300,
+                              dict(horizon=0.5, dt=1e-2, output_times=[0.2, 0.5], base_seed=5), 2),
+            "gamblers_ruin": (*ruin, 400, ruin_kwargs, 2),
+            "zeno_capped": (zeno_model(), PointMass(0, [0.5]), 200,
+                            dict(horizon=1.0, dt=1e-3, output_times=[0.5, 1.0], base_seed=13, zeno_cap=50), 2),
+            # 401 paths in ranges of 133, 134 and 134
+            "three_uneven_ranges": (*ruin, 401, ruin_kwargs, 3),
+        }[case]
+        kwargs = dict(kwargs, test_functions=[picklable_phi()], batch_size=n // 5)
+        one, one_blocks, advanced = run_on_cores(monkeypatch, 1, model, law, n, **kwargs)
+        assert advanced == n
+        split, split_blocks, advanced = run_on_cores(monkeypatch, cores, model, law, n, **kwargs)
+        assert advanced == n // cores   # the other ranges ran in workers
+        assert multiprocessing.active_children() == []
+        # every mode, position and terminal slot and every Dynkin array
+        assert split_blocks == one_blocks
+        assert split.terminal_counts == one.terminal_counts
+        assert np.array_equal(split.zeno_counts, one.zeno_counts)
+        for name in ("phi0", "phi_t", "int_generator", "jump_sum", "alive"):
+            assert getattr(split.dynkin[0], name).tobytes() == getattr(one.dynkin[0], name).tobytes(), name
+        if case == "zeno_capped":
+            assert one.zeno_counts[0] >= 0.99 * n
+        else:
+            assert np.any(one.dynkin[0].jump_sum[-1] != 0.0)
+
+    @pytest.mark.parametrize("value, error, match", [
+        (value_raising_in_workers, StartOnBoundary, "raised in a worker's range"),
+        (value_raising_in_the_parent, CharacteristicFaceHit, "raised in the parent's range"),
+        (value_exiting_in_workers, SimulationError, "paths 50 .. 99 exited with code 3"),
+    ], ids=["worker_raises", "parent_raises", "worker_exits"])
+    def test_errors_reach_the_caller_and_no_worker_outlives_the_call(self, monkeypatch, value, error, match):
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        phi = TestFunction(value, exp_generator)
+        with pytest.raises(error, match=match) as raised:
+            ensemble(
+                gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05), 100, 0.1, 1e-2, [0.1], base_seed=1,
+                test_functions=[phi], batch_size=10,
+            )
+        assert type(raised.value) is error
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("why", ["job_does_not_pickle", "caller_is_a_daemon"])
+    def test_runs_in_one_process_when_it_cannot_split(self, monkeypatch, why):
+        # ruin_phi's lambdas cannot go to a worker, and a daemon process may
+        # not start processes
+        phi = ruin_phi() if why == "job_does_not_pickle" else picklable_phi()
+        if why == "caller_is_a_daemon":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        args = (gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05), 200, 0.5, 1e-3, [0.1, 0.5])
+        kwargs = dict(base_seed=6, test_functions=[phi], batch_size=40)
+        _, blocks, advanced = run_on_cores(monkeypatch, 2, *args, **kwargs)
+        assert advanced == 200
+        assert multiprocessing.active_children() == []
+        assert blocks == run_on_cores(monkeypatch, 1, *args, **kwargs)[1]
+
+    def test_range_whose_worker_cannot_load_the_job_runs_here(self, monkeypatch):
+        args = (gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05), 200, 0.5, 1e-3, [0.1, 0.5])
+        phi = TestFunction(InteractiveMainEvaluator(), exp_generator, terminal_values={"left": 2.0})
+        kwargs = dict(base_seed=6, test_functions=[phi], batch_size=40)
+        _, blocks, _ = run_on_cores(monkeypatch, 2, *args, **kwargs)
+        assert multiprocessing.active_children() == []
+        assert blocks == run_on_cores(monkeypatch, 1, *args, **kwargs)[1]
+
+    def test_parent_memory_holds_the_slots_once(self, monkeypatch):
+        # the parent allocates every path's output slots, n_out * (8d + 2) + 1
+        # = 51 B per path at 5 output times, before the ranges run.  While
+        # they run it adds its own range's engine, the same working set of
+        # 500 rows at both sizes, and the worker's slots arrive one contiguous
+        # block at a time straight into its columns: at most one block in
+        # flight, 8d B per worker path, 4 B per path here.  Bound: that block
+        # plus a tenth of the slots.  A pickled reply of the worker's slots
+        # would add twice its 50 B per worker path, 50 B per path
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        run_ranges, peaks = simulate._run_ranges, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run_ranges(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(simulate, "_run_ranges", traced)
+        model, law = gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.01)
+        times = [0.05, 0.1, 0.15, 0.2, 0.25]
+        for n in (2_000, 20_000, 40_000):   # the first keeps imports outside the peaks
+            ensemble(model, law, n, 0.25, 1e-3, times, base_seed=1, batch_size=500)
+        n_out, d = len(times), 1
+        slots, block = n_out * (8 * d + 2) + 1, 8 * d / 2
+        growth = (peaks[2] - peaks[1]) / 20_000
+        assert growth <= block + 0.1 * slots, growth
 
 
 class TestSinglePathMatchesEnsembleRow:
