@@ -29,11 +29,12 @@ paths, in index order, take the free rows.  Memory is thus set by W; only
 the output slots grow with the paths.
 
 A path's stream and output columns depend on its index alone, so a range of
-indices is an independent job.  An ensemble of N paths runs as
-min(usable cores, ceil(N / W)) contiguous ranges: the calling process runs
-the first, and spawned worker processes run the others, each into a recorder
-of its own whose slots are copied into the caller's columns.  The outputs
-are those of one process, byte for byte.
+indices is an independent job.  An ensemble of N paths of S grid steps
+runs as min(usable cores, 2, floor(N / W), floor(N S / 1e7)) contiguous
+ranges, so only where a split was measured to pay: the calling process runs
+the first, and a spawned worker process runs the other, into a recorder of
+its own whose slots are copied into the caller's columns.  The outputs are
+those of one process, byte for byte.
 
 One stepping kernel proposes steps, tests face gaps and looks up resets on
 per-path rows of per-mode tables: every model's face geometry and reset
@@ -846,11 +847,53 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
 # path ranges in separate processes
 
 
+# A split is held to what was measured on two cores: a spawned worker takes
+# about 0.3 s and 72 MB to start, so it pays only on ranges of at least one
+# working set and _MIN_RANGE_STEPS nominal path-steps (paths x grid steps),
+# twice the break-even of about 5e6 measured on the ruin and thermostat
+# ensembles; more than _MAX_RANGES processes have not been measured.
+_MAX_RANGES = 2
+_MIN_RANGE_STEPS = 10_000_000
+
+
+def _read_words(*names: str) -> list | None:
+    """The whitespace-separated words of the named files, None if one cannot be read."""
+    words = []
+    try:
+        for name in names:
+            with open(name) as f:
+                words += f.read().split()
+    except OSError:
+        return None
+    return words
+
+
 def _usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """CPUs this process may use: its affinity set, bounded by the CPU quota
+    of its cgroup (v2 `cpu.max`, else v1 `cpu.cfs_quota_us`), read in the
+    process's own group and else at the root of the mount, which is the
+    group a container sees as its own."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    groups = {}
+    for line in _read_words("/proc/self/cgroup") or ():   # "id:controllers:path"
+        _, names, path = line.split(":", 2)
+        groups.update(dict.fromkeys(names.split(","), path))
+    v2 = [(f"/sys/fs/cgroup{p}/cpu.max",) for p in (groups.get(""), "") if p is not None]
+    v1 = [(f"/sys/fs/cgroup/cpu{p}/cpu.cfs_quota_us", f"/sys/fs/cgroup/cpu{p}/cpu.cfs_period_us")
+          for p in (groups.get("cpu"), "") if p is not None]
+    for files in v2 + v1:
+        words = _read_words(*files)
+        if words:
+            if words[0] not in ("max", "-1"):   # quota and period, in microseconds
+                cores = min(cores, max(1, int(words[0]) // int(words[1])))
+            break
+    return cores
+
+
+def _range_count(n_paths: int, width: int, n_steps: int) -> int:
+    """How many contiguous ranges an ensemble of n_paths paths of n_steps
+    grid steps, with a working set of width rows, runs as."""
+    return max(1, min(_usable_cores(), _MAX_RANGES, n_paths // width, n_paths * n_steps // _MIN_RANGE_STEPS))
 
 
 def _run_part(job: tuple, lo: int, hi: int, base_seed: int) -> _Recorder:
@@ -913,7 +956,7 @@ def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_part
                 for mine, its in zip(rec.blocks(lo, hi), part.blocks(0, hi - lo)):
                     mine[...] = its
             elif reply is not None:
-                raise reply
+                raise _worker_error(*reply, lo, hi)
     except BaseException:
         for proc, *_ in workers:
             if proc.is_alive():
@@ -929,11 +972,28 @@ def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_part
 _UNLOADED = "job not loaded"  # a worker's reply when it cannot unpickle the job
 
 
+def _worker_error(blob: bytes | None, text: str, lo: int, hi: int) -> BaseException:
+    """The exception a worker raised, rebuilt from its pickle with the
+    worker's traceback as its cause; a SimulationError carrying that
+    traceback when it did not pickle or does not rebuild here."""
+    import pickle
+
+    where = f"the worker for paths {lo} .. {hi - 1}"
+    try:
+        exc = pickle.loads(blob)
+    except Exception:  # noqa: BLE001 - any failure to rebuild falls back to the text
+        return SimulationError(f"{where} raised an exception that cannot be rebuilt here:\n{text}")
+    exc.__cause__ = SimulationError(f"traceback in {where}:\n{text}")
+    return exc
+
+
 def _range_worker(blob: bytes, lo: int, hi: int, base_seed: int, conn) -> None:
     """Worker process: run paths lo .. hi - 1 of a pickled job, then send
-    None and the output blocks, the exception that stopped the run, or
-    _UNLOADED when the job does not unpickle here."""
+    None and the output blocks, (the pickled exception that stopped the run
+    or None if it does not pickle, its formatted traceback), or _UNLOADED
+    when the job does not unpickle here."""
     import pickle
+    import traceback
 
     with conn:
         try:
@@ -944,7 +1004,11 @@ def _range_worker(blob: bytes, lo: int, hi: int, base_seed: int, conn) -> None:
         try:
             rec = _run_part(job, lo, hi, base_seed)
         except Exception as exc:  # noqa: BLE001 - raised again by the parent
-            conn.send(exc)
+            try:
+                raised = pickle.dumps(exc)
+            except Exception:  # noqa: BLE001 - the parent raises the traceback instead
+                raised = None
+            conn.send((raised, traceback.format_exc()))
             return
         conn.send(None)
         for block in rec.blocks(0, hi - lo):
@@ -1016,13 +1080,17 @@ def ensemble(
     into a working set of at most batch_size paths in flight (by default as
     many as the noise budget holds, about 24,000 in 1D).
 
-    An ensemble larger than one working set is split into
-    min(usable cores, ceil(n_paths / batch_size)) contiguous path ranges:
-    this process runs the first and worker processes (the `spawn` start
-    method) run the others, so a script that calls this at top level needs
-    the `if __name__ == "__main__":` guard.  When the model, initial law or
-    test functions do not pickle (a lambda, say), every range runs here.  A
-    worker's exception is raised here with its type and message.
+    An ensemble that holds, per range, at least one working set and 1e7
+    nominal path-steps (paths x grid steps) is split into
+    min(usable cores, 2, floor(n_paths / batch_size),
+    floor(n_paths * steps / 1e7)) contiguous path ranges: this process runs
+    the first and a worker process (the `spawn` start method) runs the
+    other, so a script that calls this at top level needs the
+    `if __name__ == "__main__":` guard.  Usable cores are the affinity set
+    bounded by the cgroup CPU quota.  When the model, initial law or test
+    functions do not pickle (a lambda, say), every range runs here.  A
+    worker's exception is raised here with its type and message and the
+    worker's traceback as its cause.
 
     Identical inputs give bit-identical measures for any batch size and any
     number of processes.  Zeno-flagged paths are counted separately and
@@ -1047,7 +1115,7 @@ def ensemble(
     if n_paths:
         width = _width(initial_law, model.dimension, batch_size)
         job = (model, initial_law, checkpoints, out_of_cp, zeno_cap, rec.phis, width)
-        _run_ranges(job, n_paths, base_seed, rec, min(_usable_cores(), -(-n_paths // width)))
+        _run_ranges(job, n_paths, base_seed, rec, _range_count(n_paths, width, len(checkpoints) - 1))
 
     mode_at, names = rec.mode_at, model.terminal_states
     mode_clouds, terminal_counts = [], []

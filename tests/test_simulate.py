@@ -161,6 +161,27 @@ def value_exiting_in_workers(q, pts):
     return pts[:, 0]
 
 
+class KeywordOnlyError(SimulationError):
+    """Pickles, but its required keyword-only argument is lost on the way, so it does not rebuild."""
+
+    def __init__(self, message, *, where):
+        super().__init__(f"{message} at {where}")
+
+
+def value_raising_unrebuildable_in_workers(q, pts):
+    if multiprocessing.parent_process() is not None:
+        raise KeywordOnlyError("raised in a worker's range", where="the first step")
+    return pts[:, 0]
+
+
+def value_raising_unpicklable_in_workers(q, pts):
+    if multiprocessing.parent_process() is not None:
+        exc = StartOnBoundary("raised in a worker's range")
+        exc.hook = lambda: None   # the instance dict goes with the pickle
+        raise exc
+    return pts[:, 0]
+
+
 def _evaluator_loaded_in_the_parent_only():
     if multiprocessing.parent_process() is not None:
         raise AttributeError("Can't get attribute 'phi' on <module '__mp_main__'>")
@@ -1053,11 +1074,16 @@ def _last_row_outcome(full, before, t):
     raise AssertionError("the last path was zeno-flagged")
 
 
-def run_on_cores(monkeypatch, cores, *args, **kwargs):
-    """ensemble with `cores` usable cores: the measure, the bytes of its
+def split_into(monkeypatch, parts):
+    """Make every ensemble ask for `parts` path ranges, whatever its size."""
+    monkeypatch.setattr(simulate, "_range_count", lambda n_paths, width, n_steps: parts)
+
+
+def run_in_ranges(monkeypatch, parts, *args, **kwargs):
+    """ensemble asked for `parts` path ranges: the measure, the bytes of its
     recorder's output blocks, and how many paths had their output cursor
     advanced in this process (a worker's range keeps its cursors)."""
-    monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+    split_into(monkeypatch, parts)
     recorders, run_ranges = [], simulate._run_ranges
 
     def spy(job, n_paths, base_seed, rec, n_parts):
@@ -1071,14 +1097,56 @@ def run_on_cores(monkeypatch, cores, *args, **kwargs):
 
 
 class TestProcessRanges:
-    """Ensembles larger than one working set run as contiguous path ranges in
-    up to one process per usable core, with the outputs of one process."""
+    """Ensembles where a split was measured to pay run as contiguous path
+    ranges in up to two processes, with the outputs of one process."""
+
+    @pytest.mark.parametrize("cores, n_paths, n_steps, parts", [
+        (2, 50_000, 2_000, 2),    # ruin_both's ensemble: 0.70 s -> 0.61 s split
+        (2, 50_000, 500, 2),      # 1.25e7 path-steps a range: ruin 0.63 -> 0.53 s, thermostat 1.19 -> 0.88 s
+        (2, 50_000, 200, 1),      # 5e6 a range, the break-even: ruin 0.51 vs 0.54 s, thermostat 0.57 vs 0.56 s
+        (2, 60_000, 5, 1),        # five steps: 0.21 s in one process, 0.33 s split
+        (2, 30_000, 2_000, 1),    # under two working sets: ruin 0.39 s in one process, 0.43 s split
+        (2, 100_000, 50, 1),      # ruin 0.38 vs 0.43 s split
+        (8, 200_000, 2_000, 2),   # no more processes than were measured
+        (1, 200_000, 2_000, 1),
+        (2, 0, 2_000, 1),
+    ])
+    def test_range_count_follows_the_measured_break_even(self, monkeypatch, cores, n_paths, n_steps, parts):
+        # timings: medians of alternating runs of one process and a forced
+        # split at W = 24,197 on two cores, gamblers_ruin (x0 0.3, std 0.01)
+        # and thermostat_1d at dt = 1e-3
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+        assert simulate._range_count(n_paths, 24_197, n_steps) == parts
+
+    @pytest.mark.parametrize("files, cores", [
+        ({"/sys/fs/cgroup/cpu.max": "150000 100000"}, 1),                 # 1.5 CPUs, v2 at the root
+        ({"/sys/fs/cgroup/box/cpu.max": "100000 100000",
+          "/sys/fs/cgroup/cpu.max": "max 100000"}, 1),                    # the own group first
+        ({"/sys/fs/cgroup/cpu.max": "max 100000"}, 4),                    # no quota
+        ({"/sys/fs/cgroup/cpu/jobs/cpu.cfs_quota_us": "200000",
+          "/sys/fs/cgroup/cpu/jobs/cpu.cfs_period_us": "100000"}, 2),     # v1
+        ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "-1",
+          "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000"}, 4),
+        ({"/sys/fs/cgroup/cpu.max": "1600000 100000"}, 4),                # the affinity set binds
+        ({}, 4),                                                          # nothing to read
+    ], ids=["v2_fraction", "v2_own_group", "v2_max", "v1", "v1_unlimited", "affinity", "unreadable"])
+    def test_usable_cores_follow_the_cgroup_quota(self, monkeypatch, files, cores):
+        files = dict(files, **{"/proc/self/cgroup": "1:cpu,cpuacct:/jobs\n0::/box\n"})
+
+        def read_words(*names):
+            if not all(name.replace("//", "/") in files for name in names):
+                return None
+            return [w for name in names for w in files[name.replace("//", "/")].split()]
+
+        monkeypatch.setattr(simulate, "_read_words", read_words)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert simulate._usable_cores() == cores
 
     @pytest.mark.parametrize("case", ["thermostat_1d", "gamblers_ruin", "zeno_capped", "three_uneven_ranges"])
     def test_ranges_match_one_process(self, monkeypatch, case):
         ruin = (gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05))
         ruin_kwargs = dict(horizon=0.5, dt=1e-3, output_times=[0.1, 0.5], base_seed=6)
-        model, law, n, kwargs, cores = {
+        model, law, n, kwargs, parts = {
             "thermostat_1d": (thermostat_model(), thermostat_initial(), 300,
                               dict(horizon=0.5, dt=1e-2, output_times=[0.2, 0.5], base_seed=5), 2),
             "gamblers_ruin": (*ruin, 400, ruin_kwargs, 2),
@@ -1088,10 +1156,10 @@ class TestProcessRanges:
             "three_uneven_ranges": (*ruin, 401, ruin_kwargs, 3),
         }[case]
         kwargs = dict(kwargs, test_functions=[picklable_phi()], batch_size=n // 5)
-        one, one_blocks, advanced = run_on_cores(monkeypatch, 1, model, law, n, **kwargs)
+        one, one_blocks, advanced = run_in_ranges(monkeypatch, 1, model, law, n, **kwargs)
         assert advanced == n
-        split, split_blocks, advanced = run_on_cores(monkeypatch, cores, model, law, n, **kwargs)
-        assert advanced == n // cores   # the other ranges ran in workers
+        split, split_blocks, advanced = run_in_ranges(monkeypatch, parts, model, law, n, **kwargs)
+        assert advanced == n // parts   # the other ranges ran in workers
         assert multiprocessing.active_children() == []
         # every mode, position and terminal slot and every Dynkin array
         assert split_blocks == one_blocks
@@ -1110,7 +1178,7 @@ class TestProcessRanges:
         (value_exiting_in_workers, SimulationError, "paths 50 .. 99 exited with code 3"),
     ], ids=["worker_raises", "parent_raises", "worker_exits"])
     def test_errors_reach_the_caller_and_no_worker_outlives_the_call(self, monkeypatch, value, error, match):
-        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        split_into(monkeypatch, 2)
         phi = TestFunction(value, exp_generator)
         with pytest.raises(error, match=match) as raised:
             ensemble(
@@ -1118,6 +1186,23 @@ class TestProcessRanges:
                 test_functions=[phi], batch_size=10,
             )
         assert type(raised.value) is error
+        assert multiprocessing.active_children() == []
+        if value is value_raising_in_workers:
+            # the worker's traceback comes along as the cause
+            assert "in value_raising_in_workers" in str(raised.value.__cause__)
+
+    @pytest.mark.parametrize("value", [value_raising_unrebuildable_in_workers, value_raising_unpicklable_in_workers])
+    def test_worker_exception_that_does_not_come_back_keeps_its_traceback(self, monkeypatch, value):
+        split_into(monkeypatch, 2)
+        phi = TestFunction(value, exp_generator)
+        with pytest.raises(SimulationError, match="paths 50 .. 99 raised an exception that cannot be rebuilt") as raised:
+            ensemble(
+                gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05), 100, 0.1, 1e-2, [0.1], base_seed=1,
+                test_functions=[phi], batch_size=10,
+            )
+        assert type(raised.value) is SimulationError
+        assert f"in {value.__name__}" in str(raised.value)
+        assert "raised in a worker's range" in str(raised.value)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("why", ["job_does_not_pickle", "caller_is_a_daemon"])
@@ -1129,18 +1214,18 @@ class TestProcessRanges:
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         args = (gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05), 200, 0.5, 1e-3, [0.1, 0.5])
         kwargs = dict(base_seed=6, test_functions=[phi], batch_size=40)
-        _, blocks, advanced = run_on_cores(monkeypatch, 2, *args, **kwargs)
+        _, blocks, advanced = run_in_ranges(monkeypatch, 2, *args, **kwargs)
         assert advanced == 200
         assert multiprocessing.active_children() == []
-        assert blocks == run_on_cores(monkeypatch, 1, *args, **kwargs)[1]
+        assert blocks == run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
 
     def test_range_whose_worker_cannot_load_the_job_runs_here(self, monkeypatch):
         args = (gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05), 200, 0.5, 1e-3, [0.1, 0.5])
         phi = TestFunction(InteractiveMainEvaluator(), exp_generator, terminal_values={"left": 2.0})
         kwargs = dict(base_seed=6, test_functions=[phi], batch_size=40)
-        _, blocks, _ = run_on_cores(monkeypatch, 2, *args, **kwargs)
+        _, blocks, _ = run_in_ranges(monkeypatch, 2, *args, **kwargs)
         assert multiprocessing.active_children() == []
-        assert blocks == run_on_cores(monkeypatch, 1, *args, **kwargs)[1]
+        assert blocks == run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
 
     def test_parent_memory_holds_the_slots_once(self, monkeypatch):
         # the parent allocates every path's output slots, n_out * (8d + 2) + 1
@@ -1151,7 +1236,7 @@ class TestProcessRanges:
         # flight, 8d B per worker path, 4 B per path here.  Bound: that block
         # plus a tenth of the slots.  A pickled reply of the worker's slots
         # would add twice its 50 B per worker path, 50 B per path
-        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        split_into(monkeypatch, 2)
         run_ranges, peaks = simulate._run_ranges, []
 
         def traced(*args):
