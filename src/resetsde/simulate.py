@@ -33,8 +33,9 @@ indices is an independent job.  An ensemble of N paths of S grid steps
 runs as min(usable cores, 2, floor(N / W), floor(N S / 1e7)) contiguous
 ranges, so only where a split was measured to pay: the calling process runs
 the first, and a spawned worker process runs the other, into a recorder of
-its own whose slots are copied into the caller's columns.  The outputs are
-those of one process, byte for byte.
+its own whose slots are copied into the caller's columns.  The worker is
+spawned by the first split and serves every later one until the caller
+exits or a run fails.  The outputs are those of one process, byte for byte.
 
 One stepping kernel proposes steps, tests face gaps and looks up resets on
 per-path rows of per-mode tables: every model's face geometry and reset
@@ -55,6 +56,7 @@ checkpoints.
 from __future__ import annotations
 
 import os
+import threading
 from itertools import compress
 from typing import NamedTuple, Sequence
 
@@ -542,9 +544,10 @@ def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]):
     """Sorted checkpoints: the step grid k*dt, the output times and the horizon.
 
     An output time within _SNAP_REL * dt of a grid point or of the horizon is
-    snapped onto it, and a grid point other than t = 0 that close to the
-    horizon is dropped, so no two checkpoints are a rounding-sized step apart
-    unless the horizon itself is that short.  Returns the checkpoints (the
+    snapped onto the nearest of them, and a grid point other than t = 0 that
+    close to the horizon is dropped, so no two checkpoints are a
+    rounding-sized step apart unless the horizon itself is that short; t = 0
+    stays at 0 however short the horizon.  Returns the checkpoints (the
     first is t = 0) and the checkpoint index of each output time.
     """
     times = np.asarray(output_times, dtype=float)
@@ -553,9 +556,10 @@ def _checkpoints(horizon: float, dt: float, output_times: Sequence[float]):
     snap = _SNAP_REL * dt
     grid = np.arange(0.0, horizon, dt)
     grid = grid[(grid < horizon - snap) | (grid == 0.0)]
-    nearest = grid[np.minimum(np.rint(times / dt).astype(np.int64), grid.size - 1)]
+    ends = np.append(grid, horizon)
+    k = np.clip(np.searchsorted(ends, times), 1, grid.size)   # times lie between ends[k - 1] and ends[k]
+    nearest = np.where(times - ends[k - 1] <= ends[k] - times, ends[k - 1], ends[k])
     times = np.where(np.abs(times - nearest) <= snap, nearest, times)
-    times = np.where(np.abs(times - horizon) <= snap, horizon, times)
     points = np.unique(np.concatenate([grid, times, [horizon]]))
     return points, np.searchsorted(points, times)
 
@@ -851,7 +855,9 @@ def _run(model: HybridModel, initial_law, paths, base_seed, checkpoints, out_of_
 # about 0.3 s and 72 MB to start, so it pays only on ranges of at least one
 # working set and _MIN_RANGE_STEPS nominal path-steps (paths x grid steps),
 # twice the break-even of about 5e6 measured on the ruin and thermostat
-# ensembles; more than _MAX_RANGES processes have not been measured.
+# ensembles; more than _MAX_RANGES processes have not been measured.  The
+# threshold still guards a process's first split, which pays that start; a
+# lower one for a started worker would need measuring of its own.
 _MAX_RANGES = 2
 _MIN_RANGE_STEPS = 10_000_000
 
@@ -909,17 +915,18 @@ def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_part
 
     job is (model, initial law, checkpoints, out_of_cp, zeno_cap, test
     functions, width).  This process runs the first range into rec; each
-    other range runs in a spawned worker process (`_range_worker`), whose
-    output slots arrive block by block in rec's columns of that range.  A
-    job that does not pickle (a lambda in a field or test function), or an
-    ensemble in a daemon process, runs here as one range; a range whose
-    worker cannot load the job (functions of an interactive `__main__`)
-    runs here after the first.  A worker's exception is raised here.  The
-    workers are daemons, terminated if the run fails and joined before this
-    returns.
+    other range runs in a spawned worker process (`_range_worker`), kept
+    in `_workers` for later splits, whose output slots arrive block by block
+    in rec's columns of that range.  A job that does not pickle (a lambda in
+    a field or test function), an ensemble in a daemon process, or one
+    while another thread holds the workers, runs here as one range; a range
+    whose worker cannot load the job (functions of an interactive
+    `__main__`) runs here after the first.  A worker's exception is raised
+    here.  A run that fails in any way drops every worker, so no reply of it
+    reaches a later run.
     """
     model, initial_law, checkpoints, out_of_cp, zeno_cap, _, width = job
-    bounds, workers = [0, n_paths], []
+    bounds = [0, n_paths]
     if n_parts > 1:
         import multiprocessing
         import pickle
@@ -928,25 +935,36 @@ def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_part
             blob = pickle.dumps(job)
         except (pickle.PicklingError, AttributeError, TypeError):
             blob = None
-        # a daemon process may not start processes of its own
-        if blob is not None and not multiprocessing.current_process().daemon:
+        # a daemon process may not start processes of its own, and another thread may hold the workers
+        if blob is not None and not multiprocessing.current_process().daemon and _workers_lock.acquire(blocking=False):
             bounds = [n_paths * i // n_parts for i in range(n_parts + 1)]
-            ctx = multiprocessing.get_context("spawn")
+    if len(bounds) == 2:
+        _run(model, initial_law, (0, n_paths), base_seed, checkpoints, out_of_cp, zeno_cap, rec, width)
+        return
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            reply_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_range_worker, args=(blob, lo, hi, base_seed, send_end), daemon=True)
-            workers.append((proc, reply_end, lo, hi))
-            with send_end:   # the worker holds the only other copy, so its exit ends the pipe
+        if not all(proc.is_alive() for proc, _ in _workers):
+            _drop_workers()
+        ctx = multiprocessing.get_context("spawn")
+        while len(_workers) < n_parts - 1:
+            conn, child_end = ctx.Pipe()
+            proc = ctx.Process(target=_range_worker, args=(child_end,), daemon=True)
+            with child_end:   # the worker holds the only other copy, so it sees this process exit
                 proc.start()
-        _run(model, initial_law, (0, bounds[1]), base_seed, checkpoints, out_of_cp, zeno_cap, rec, width)
-        for proc, reply_end, lo, hi in workers:
+            _workers.append((proc, conn))
+        ranges = list(zip(_workers, bounds[1:-1], bounds[2:]))
+        for (_, conn), lo, hi in ranges:
             try:
-                reply = reply_end.recv()
+                conn.send((blob, lo, hi, base_seed))
+            except ConnectionError:   # a worker that died is named below, when its reply is read
+                pass
+        _run(model, initial_law, (0, bounds[1]), base_seed, checkpoints, out_of_cp, zeno_cap, rec, width)
+        for (proc, conn), lo, hi in ranges:
+            try:
+                reply = conn.recv()
                 if reply is None:
                     for block in rec.blocks(lo, hi):
-                        reply_end.recv_bytes_into(block)
-            except EOFError:
+                        conn.recv_bytes_into(block)
+            except (EOFError, ConnectionError):   # reset if it died before it read the job
                 proc.join()
                 raise SimulationError(
                     f"the worker for paths {lo} .. {hi - 1} exited with code {proc.exitcode} before it replied"
@@ -958,15 +976,40 @@ def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_part
             elif reply is not None:
                 raise _worker_error(*reply, lo, hi)
     except BaseException:
-        for proc, *_ in workers:
-            if proc.is_alive():
-                proc.terminate()
+        _drop_workers()
         raise
     finally:
-        for proc, reply_end, *_ in workers:
-            if proc.pid is not None:
-                proc.join()
-            reply_end.close()
+        _workers_lock.release()
+
+
+# This process's idle range workers, (process, connection) pairs; the split
+# that holds the lock runs its n ranges on the first n - 1.
+_workers: list = []
+_workers_lock = threading.Lock()
+
+
+def _drop_workers() -> None:
+    """Terminate, join and forget this process's range workers."""
+    for proc, conn in _workers:
+        proc.terminate()
+        proc.join()
+        conn.close()
+    _workers.clear()
+
+
+def _forget_workers() -> None:
+    """In a forked child: drop the parent's range workers, and close their
+    pipes here, without stopping them."""
+    global _workers, _workers_lock
+    if _workers:
+        from multiprocessing import process
+
+        process._children.difference_update(proc for proc, _ in _workers)   # the child's exit would stop them
+    _workers, _workers_lock = [], threading.Lock()   # a thread of the parent may have held the lock
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 _UNLOADED = "job not loaded"  # a worker's reply when it cannot unpickle the job
@@ -987,32 +1030,41 @@ def _worker_error(blob: bytes | None, text: str, lo: int, hi: int) -> BaseExcept
     return exc
 
 
-def _range_worker(blob: bytes, lo: int, hi: int, base_seed: int, conn) -> None:
-    """Worker process: run paths lo .. hi - 1 of a pickled job, then send
-    None and the output blocks, (the pickled exception that stopped the run
-    or None if it does not pickle, its formatted traceback), or _UNLOADED
-    when the job does not unpickle here."""
+def _range_worker(conn) -> None:
+    """Worker process: until the caller's end of conn closes, run paths
+    lo .. hi - 1 of each pickled job (blob, lo, hi, base_seed) it sends,
+    then send None and the output blocks, (the pickled exception that
+    stopped the run or None if it does not pickle, its formatted
+    traceback), or _UNLOADED when the job does not unpickle here."""
     import pickle
+    import signal
     import traceback
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # a Ctrl-C in the caller's terminal is for the caller
     with conn:
-        try:
-            job = pickle.loads(blob)
-        except Exception:  # noqa: BLE001 - the parent runs the range instead
-            conn.send(_UNLOADED)
-            return
-        try:
-            rec = _run_part(job, lo, hi, base_seed)
-        except Exception as exc:  # noqa: BLE001 - raised again by the parent
+        while True:
+            blob = job = rec = block = None   # nothing of a job is kept while the next is awaited
             try:
-                raised = pickle.dumps(exc)
-            except Exception:  # noqa: BLE001 - the parent raises the traceback instead
-                raised = None
-            conn.send((raised, traceback.format_exc()))
-            return
-        conn.send(None)
-        for block in rec.blocks(0, hi - lo):
-            conn.send_bytes(block)
+                blob, lo, hi, base_seed = conn.recv()
+            except EOFError:
+                return
+            try:
+                job = pickle.loads(blob)
+            except Exception:  # noqa: BLE001 - the caller runs the range instead
+                conn.send(_UNLOADED)
+                continue
+            try:
+                rec = _run_part(job, lo, hi, base_seed)
+            except Exception as exc:  # noqa: BLE001 - raised again by the caller
+                try:
+                    raised = pickle.dumps(exc)
+                except Exception:  # noqa: BLE001 - the caller raises the traceback instead
+                    raised = None
+                conn.send((raised, traceback.format_exc()))
+                continue
+            conn.send(None)
+            for block in rec.blocks(0, hi - lo):
+                conn.send_bytes(block)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,7 +1138,9 @@ def ensemble(
     floor(n_paths * steps / 1e7)) contiguous path ranges: this process runs
     the first and a worker process (the `spawn` start method) runs the
     other, so a script that calls this at top level needs the
-    `if __name__ == "__main__":` guard.  Usable cores are the affinity set
+    `if __name__ == "__main__":` guard.  The worker is started by the
+    first split and kept, idle, for later ones until this process exits;
+    an ensemble that fails stops it.  Usable cores are the affinity set
     bounded by the cgroup CPU quota.  When the model, initial law or test
     functions do not pickle (a lambda, say), every range runs here.  A
     worker's exception is raised here with its type and message and the

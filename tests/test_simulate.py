@@ -1,6 +1,12 @@
 import math
 import multiprocessing
 import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -474,6 +480,18 @@ class TestCheckpoints:
         cloud = measure.mode_clouds[0][0]
         assert measure.times.tolist() == [1e-12] and measure.terminal_counts == [{}]
         assert cloud.shape == (4, 1) and np.all(np.abs(cloud - 0.3) < 1e-5) and np.all(cloud != 0.3)
+
+    def test_output_time_0_over_a_horizon_below_the_snap_stays_at_0(self):
+        # t = 0 was snapped onto the horizon, so it read 0.30000035
+        measure = ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 2, 1e-12, 1.0, [0.0], base_seed=1)
+        assert measure.times.tolist() == [0.0] and measure.mode_clouds[0][0].tolist() == [[0.3], [0.3]]
+
+    def test_output_times_0_and_a_horizon_below_the_snap_are_distinct(self):
+        # both were snapped onto the horizon: "output times must be distinct"
+        measure = ensemble(gamblers_ruin_model(), PointMass(0, [0.3]), 2, 1e-12, 1.0, [0.0, 1e-12], base_seed=1)
+        start, end = (measure.mode_clouds[k][0] for k in range(2))
+        assert measure.times.tolist() == [0.0, 1e-12] and start.tolist() == [[0.3], [0.3]]
+        assert np.all(np.abs(end - 0.3) < 1e-5) and np.all(end != 0.3)
 
     def test_path_over_a_horizon_below_the_snap_takes_one_step(self):
         traj = simulate_path(gamblers_ruin_model(), PathState.in_mode(0, [0.3]), horizon=1e-12, dt=1.0, rng_seed=1)
@@ -1096,9 +1114,53 @@ def run_in_ranges(monkeypatch, parts, *args, **kwargs):
     return measure, [block.tobytes() for block in rec.blocks(0, measure.size)], int(np.count_nonzero(rec.out_pos))
 
 
+def small_ruin_job():
+    """The arguments and keywords of an `ensemble` of 200 gamblers' ruin paths
+    in working sets of 40, with a test function that a worker can load."""
+    args = (gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05), 200, 0.5, 1e-3, [0.1, 0.5])
+    return args, dict(base_seed=6, test_functions=[picklable_phi()], batch_size=40)
+
+
+def pooled_workers():
+    """The processes of this process's range workers."""
+    return [proc for proc, _ in simulate._workers]
+
+
+# a forced two-range split of 200 ruin paths, as a script
+SPLIT_SCRIPT = "\n".join([
+    "from resetsde import simulate",
+    "from resetsde.scenarios import gamblers_ruin_model",
+    "simulate._range_count = lambda n_paths, width, n_steps: 2",
+    "simulate.ensemble(gamblers_ruin_model(), simulate.GaussianInitial(0, [0.3], 0.05), 200, 0.5, 1e-3, [0.5],"
+    " base_seed=1, batch_size=40)",
+])
+
+
+def src_env():
+    """The environment with this checkout's package first on the path."""
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def is_gone(pid):
+    """Whether process pid has exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/status") as f:
+            return any(line.split() == ["State:", "Z", "(zombie)"] for line in f)
+    except FileNotFoundError:
+        return True
+
+
 class TestProcessRanges:
     """Ensembles where a split was measured to pay run as contiguous path
-    ranges in up to two processes, with the outputs of one process."""
+    ranges in up to two processes, with the outputs of one process; the
+    range workers stay, idle, for the next split."""
+
+    @pytest.fixture(autouse=True)
+    def no_pooled_workers(self):
+        simulate._drop_workers()
+        yield
+        simulate._drop_workers()
 
     @pytest.mark.parametrize("cores, n_paths, n_steps, parts", [
         (2, 50_000, 2_000, 2),    # ruin_both's ensemble: 0.70 s -> 0.61 s split
@@ -1160,7 +1222,9 @@ class TestProcessRanges:
         assert advanced == n
         split, split_blocks, advanced = run_in_ranges(monkeypatch, parts, model, law, n, **kwargs)
         assert advanced == n // parts   # the other ranges ran in workers
-        assert multiprocessing.active_children() == []
+        # the workers are kept for the next split, and they are the only children
+        assert len(pooled_workers()) == parts - 1
+        assert set(multiprocessing.active_children()) == set(pooled_workers())
         # every mode, position and terminal slot and every Dynkin array
         assert split_blocks == one_blocks
         assert split.terminal_counts == one.terminal_counts
@@ -1171,6 +1235,138 @@ class TestProcessRanges:
             assert one.zeno_counts[0] >= 0.99 * n
         else:
             assert np.any(one.dynkin[0].jump_sum[-1] != 0.0)
+
+    def test_later_split_reuses_the_worker(self, monkeypatch):
+        kwargs = dict(test_functions=[picklable_phi()], batch_size=60)
+        run_in_ranges(monkeypatch, 2, thermostat_model(), thermostat_initial(), 300, 0.5, 1e-2, [0.2, 0.5],
+                      base_seed=5, **kwargs)
+        worker = pooled_workers()
+        pid = worker[0].pid
+        args = (gamblers_ruin_model(), GaussianInitial(0, [0.3], 0.05), 400, 0.5, 1e-3, [0.1, 0.5])
+        one = run_in_ranges(monkeypatch, 1, *args, base_seed=6, **kwargs)[1]
+        _, blocks, advanced = run_in_ranges(monkeypatch, 2, *args, base_seed=6, **kwargs)
+        assert advanced == 200 and blocks == one
+        assert pooled_workers() == worker and worker[0].pid == pid
+        assert multiprocessing.active_children() == worker
+
+    def test_worker_killed_while_idle_is_replaced(self, monkeypatch):
+        args, kwargs = small_ruin_job()
+        one = run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
+        run_in_ranges(monkeypatch, 2, *args, **kwargs)
+        killed = pooled_workers()[0]
+        killed.kill()
+        killed.join(timeout=10)
+        assert not killed.is_alive()
+        assert run_in_ranges(monkeypatch, 2, *args, **kwargs)[1:] == (one, 100)
+        assert len(pooled_workers()) == 1 and pooled_workers()[0] is not killed
+
+    def test_idle_worker_ignores_an_interrupt(self, monkeypatch):
+        # Ctrl-C in a terminal interrupts the whole process group; the caller
+        # stops its worker when it needs to
+        args, kwargs = small_ruin_job()
+        one = run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
+        run_in_ranges(monkeypatch, 2, *args, **kwargs)
+        worker = pooled_workers()
+        os.kill(worker[0].pid, signal.SIGINT)
+        worker[0].join(timeout=0.5)
+        assert worker[0].is_alive()
+        assert run_in_ranges(monkeypatch, 2, *args, **kwargs)[1:] == (one, 100) and pooled_workers() == worker
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_a_worker_of_its_own(self, monkeypatch):
+        args, kwargs = small_ruin_job()
+        one = run_in_ranges(monkeypatch, 1, *args, **dict(kwargs, base_seed=7))[1]
+        run_in_ranges(monkeypatch, 2, *args, **kwargs)
+        worker = pooled_workers()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # the child reports and leaves without running the parent's exit handlers
+            try:
+                os.close(read_end)
+                blocks = run_in_ranges(monkeypatch, 2, *args, **dict(kwargs, base_seed=7))[1]
+                children = [proc.pid for proc in multiprocessing.active_children()]
+                mine = [proc.pid for proc in pooled_workers()]
+                simulate._drop_workers()
+                with os.fdopen(write_end, "wb") as out:
+                    pickle.dump((blocks == one, children, mine), out)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as got:
+            same, children, mine = pickle.load(got)
+        os.waitpid(pid, 0)
+        # the child split into a worker of its own and never saw the parent's
+        assert same and len(mine) == 1 and children == mine and mine != [worker[0].pid]
+        # the parent's worker outlived the child and runs the parent's next split
+        assert worker[0].is_alive() and pooled_workers() == worker
+        assert run_in_ranges(monkeypatch, 2, *args, **dict(kwargs, base_seed=7))[1:] == (one, 100)
+        assert pooled_workers() == worker and multiprocessing.active_children() == worker
+
+    def test_threads_that_split_at_once_match_one_process(self, monkeypatch):
+        # more threads than cores, switching often: the first split holds the
+        # worker while it starts, and every other runs here as one range
+        args, kwargs = small_ruin_job()
+        one = run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
+        recorders, errors, run_ranges, barrier = [], [], simulate._run_ranges, threading.Barrier(4)
+
+        def spy(job, n_paths, base_seed, rec, n_parts):
+            recorders.append(rec)
+            run_ranges(job, n_paths, base_seed, rec, 2)
+
+        def run():
+            try:
+                barrier.wait(timeout=60)
+                ensemble(*args, **kwargs)
+            except BaseException as exc:  # noqa: BLE001 - reported by the test thread
+                errors.append(exc)
+
+        monkeypatch.setattr(simulate, "_run_ranges", spy)
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        assert sorted(int(np.count_nonzero(rec.out_pos)) for rec in recorders) == [100, 200, 200, 200]
+        for rec in recorders:
+            assert [block.tobytes() for block in rec.blocks(0, 200)] == one
+        assert multiprocessing.active_children() == pooled_workers() and len(pooled_workers()) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    @pytest.mark.parametrize("ending", ["returns", "os_exit"])
+    def test_worker_ends_with_its_caller(self, tmp_path, ending):
+        # os._exit skips the exit handler that terminates daemon children:
+        # the worker then ends at the end of its pipe.  The output goes to a
+        # file, which the worker's inherited descriptors cannot hold open
+        ends = {"returns": "", "os_exit": "import os; os._exit(0)"}[ending]
+        script = f"{SPLIT_SCRIPT}\nprint(simulate._workers[0][0].pid, flush=True)\n{ends}\n"
+        out = tmp_path / "pid"
+        with open(out, "w") as f:
+            subprocess.run([sys.executable, "-c", script], stdout=f, env=src_env(), timeout=120, check=True)
+        pid = int(out.read_text())
+        deadline = time.monotonic() + 5.0
+        while not is_gone(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        try:
+            assert is_gone(pid)
+        finally:
+            if not is_gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_worker_that_dies_before_it_reads_its_job_is_named(self, tmp_path):
+        # without the __main__ guard the worker runs the script again as it
+        # starts, and exits there; the job it never read resets the pipe
+        script = tmp_path / "unguarded.py"
+        script.write_text(SPLIT_SCRIPT + "\n")
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=src_env(),
+                              timeout=120)
+        assert done.returncode == 1
+        assert "SimulationError: the worker for paths 100 .. 199 exited with code 1 before it replied" in done.stderr
 
     @pytest.mark.parametrize("value, error, match", [
         (value_raising_in_workers, StartOnBoundary, "raised in a worker's range"),
@@ -1190,6 +1386,10 @@ class TestProcessRanges:
         if value is value_raising_in_workers:
             # the worker's traceback comes along as the cause
             assert "in value_raising_in_workers" in str(raised.value.__cause__)
+        # a fresh worker runs the next split; no block of the failed one reaches it
+        args, kwargs = small_ruin_job()
+        one = run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
+        assert run_in_ranges(monkeypatch, 2, *args, **kwargs)[1:] == (one, 100)
 
     @pytest.mark.parametrize("value", [value_raising_unrebuildable_in_workers, value_raising_unpicklable_in_workers])
     def test_worker_exception_that_does_not_come_back_keeps_its_traceback(self, monkeypatch, value):
@@ -1224,7 +1424,8 @@ class TestProcessRanges:
         phi = TestFunction(InteractiveMainEvaluator(), exp_generator, terminal_values={"left": 2.0})
         kwargs = dict(base_seed=6, test_functions=[phi], batch_size=40)
         _, blocks, _ = run_in_ranges(monkeypatch, 2, *args, **kwargs)
-        assert multiprocessing.active_children() == []
+        # the worker is kept: the job failed to load, not the worker
+        assert len(pooled_workers()) == 1 and multiprocessing.active_children() == pooled_workers()
         assert blocks == run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
 
     def test_parent_memory_holds_the_slots_once(self, monkeypatch):
