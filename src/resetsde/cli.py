@@ -532,7 +532,8 @@ def _schema_text() -> str:
         "  reset_edges: [{source_mode, source_face, terminal | target_mode+map}],",
         "  terminal_states: [...], characteristic_faces: [[mode, face], ...]}",
         "",
-        "Exit status: 0 success, 2 validation failure, 1 error.",
+        "Exit status: 0 success, 2 validation failure, 1 error; with several",
+        "configs, 1 if one erred, else 2 if one failed validation.",
     ]
     return "\n".join(lines)
 
@@ -544,8 +545,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "validate"):
-        cmd = sub.add_parser(name, help=f"{name} a configured experiment")
-        cmd.add_argument("config", help="path to the JSON configuration")
+        cmd = sub.add_parser(name, help=f"{name} configured experiments")
+        cmd.add_argument("config", nargs="+", help="paths to JSON configurations, run in turn in this process")
         cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
         cmd.add_argument("--resolution", type=int, default=None, help="override grid cells")
         cmd.add_argument("--dt", type=float, default=None, help="override the MC time step")
@@ -560,15 +561,20 @@ def main(argv=None) -> int:
     overrides = {"base_seed": args.seed, "resolution": args.resolution, "dt": args.dt}
     if args.command == "validate":
         overrides["method"] = "both"
-    try:
-        config = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
-        return run(config)
-    except (ParseError, SchemaError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    # several configs run in turn in one process, which keeps the MC range
+    # worker between them
+    statuses = []
+    for path in args.config:
+        where = f"{path}: " if len(args.config) > 1 else ""
+        try:
+            statuses.append(run(load_config(path, {k: v for k, v in overrides.items() if v is not None})))
+        except (ParseError, SchemaError) as exc:
+            print(f"{where}config error: {exc}", file=sys.stderr)
+            statuses.append(1)
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            print(f"{where}error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            statuses.append(1)
+    return 1 if 1 in statuses else max(statuses)
 
 
 if __name__ == "__main__":

@@ -33,9 +33,8 @@ indices is an independent job.  An ensemble of N paths of S grid steps
 runs as min(usable cores, 2, floor(N / W), floor(N S / 1e7)) contiguous
 ranges, so only where a split was measured to pay: the calling process runs
 the first, and a spawned worker process runs the other, into a recorder of
-its own whose slots are copied into the caller's columns.  The worker is
-spawned by the first split and serves every later one until the caller
-exits or a run fails.  The outputs are those of one process, byte for byte.
+its own whose slots are copied into the caller's columns; it is kept for
+later splits.  The outputs are those of one process, byte for byte.
 
 One stepping kernel proposes steps, tests face gaps and looks up resets on
 per-path rows of per-mode tables: every model's face geometry and reset
@@ -56,8 +55,10 @@ checkpoints.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from itertools import compress
+from types import ModuleType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -915,15 +916,14 @@ def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_part
 
     job is (model, initial law, checkpoints, out_of_cp, zeno_cap, test
     functions, width).  This process runs the first range into rec; each
-    other range runs in a spawned worker process (`_range_worker`), kept
-    in `_workers` for later splits, whose output slots arrive block by block
-    in rec's columns of that range.  A job that does not pickle (a lambda in
-    a field or test function), an ensemble in a daemon process, or one
-    while another thread holds the workers, runs here as one range; a range
-    whose worker cannot load the job (functions of an interactive
-    `__main__`) runs here after the first.  A worker's exception is raised
-    here.  A run that fails in any way drops every worker, so no reply of it
-    reaches a later run.
+    other range runs in a worker process of `_workers`, whose output slots
+    arrive block by block in rec's columns of that range.  A job that does
+    not pickle (a lambda in a field or test function), an ensemble in a
+    daemon process, or one while another thread holds the workers, runs
+    here as one range; a range whose worker cannot load the job (functions
+    of an interactive `__main__`) runs here after the first.  A worker's
+    exception is raised here.  A run that fails in any way drops the
+    workers, so no reply of it reaches a later run.
     """
     model, initial_law, checkpoints, out_of_cp, zeno_cap, _, width = job
     bounds = [0, n_paths]
@@ -942,8 +942,14 @@ def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_part
         _run(model, initial_law, (0, n_paths), base_seed, checkpoints, out_of_cp, zeno_cap, rec, width)
         return
     try:
-        if not all(proc.is_alive() for proc, _ in _workers):
+        # a worker keeps the code it unpickled: a module reloaded since the last split has a new
+        # spec, read from the module's dict so that a lazily loaded module is not loaded here
+        specs = {name: object.__getattribute__(module, "__dict__").get("__spec__")
+                 for name, module in list(sys.modules.items()) if isinstance(module, ModuleType)}
+        reloaded = any(_specs.get(name, spec) is not spec for name, spec in specs.items())
+        if reloaded or not all(proc.is_alive() for proc, _ in _workers):
             _drop_workers()
+        _specs.update(specs)
         ctx = multiprocessing.get_context("spawn")
         while len(_workers) < n_parts - 1:
             conn, child_end = ctx.Pipe()
@@ -982,9 +988,11 @@ def _run_ranges(job: tuple, n_paths: int, base_seed: int, rec: _Recorder, n_part
         _workers_lock.release()
 
 
-# This process's idle range workers, (process, connection) pairs; the split
-# that holds the lock runs its n ranges on the first n - 1.
+# This process's idle range workers, (process, connection) pairs, and the
+# module specs at the last split; the split that holds the lock runs its n
+# ranges on the first n - 1.
 _workers: list = []
+_specs: dict = {}
 _workers_lock = threading.Lock()
 
 
@@ -998,13 +1006,16 @@ def _drop_workers() -> None:
 
 
 def _forget_workers() -> None:
-    """In a forked child: drop the parent's range workers, and close their
-    pipes here, without stopping them."""
+    """In a forked child: close the pipes of the parent's range workers and
+    forget them, without stopping them."""
     global _workers, _workers_lock
     if _workers:
-        from multiprocessing import process
-
-        process._children.difference_update(proc for proc, _ in _workers)   # the child's exit would stop them
+        # the child's exit terminates the daemons in this private set (tested
+        # on Python 3.11; without it the parent's next split starts a new one)
+        children = getattr(sys.modules["multiprocessing.process"], "_children", set())
+        for proc, conn in _workers:
+            children.discard(proc)
+            conn.close()
     _workers, _workers_lock = [], threading.Lock()   # a thread of the parent may have held the lock
 
 
@@ -1037,16 +1048,14 @@ def _range_worker(conn) -> None:
     stopped the run or None if it does not pickle, its formatted
     traceback), or _UNLOADED when the job does not unpickle here."""
     import pickle
-    import signal
     import traceback
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # a Ctrl-C in the caller's terminal is for the caller
     with conn:
         while True:
             blob = job = rec = block = None   # nothing of a job is kept while the next is awaited
             try:
                 blob, lo, hi, base_seed = conn.recv()
-            except EOFError:
+            except (EOFError, KeyboardInterrupt):   # a Ctrl-C reaches the whole process group
                 return
             try:
                 job = pickle.loads(blob)
@@ -1139,12 +1148,13 @@ def ensemble(
     the first and a worker process (the `spawn` start method) runs the
     other, so a script that calls this at top level needs the
     `if __name__ == "__main__":` guard.  The worker is started by the
-    first split and kept, idle, for later ones until this process exits;
-    an ensemble that fails stops it.  Usable cores are the affinity set
-    bounded by the cgroup CPU quota.  When the model, initial law or test
-    functions do not pickle (a lambda, say), every range runs here.  A
-    worker's exception is raised here with its type and message and the
-    worker's traceback as its cause.
+    first split and kept, idle, for later ones until this process exits or
+    an ensemble fails; after `importlib.reload` of a module here the next
+    split starts a new one, which runs the reloaded code.  Usable cores
+    are the affinity set bounded by the cgroup CPU quota.  When the model,
+    initial law or test functions do not pickle (a lambda, say), every
+    range runs here.  A worker's exception is raised here with its type
+    and message and the worker's traceback as its cause.
 
     Identical inputs give bit-identical measures for any batch size and any
     number of processes.  Zeno-flagged paths are counted separately and

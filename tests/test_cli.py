@@ -293,6 +293,21 @@ class TestMain:
         path = write_config(tmp_path, payload)
         assert main(["run", str(path), "--resolution", "50"]) == 0
 
+    def test_several_configs_run_in_turn(self, tmp_path, capsys):
+        # every config runs, the status is the worst, and an error names its config
+        good = write_config(tmp_path, dict(BROWNIAN_SMALL, output_dir=str(tmp_path / "good")), "good.json")
+        bad = write_config(tmp_path, {"scenario": "brownian_reset", "dx": 1}, "bad.json")
+        failing = write_config(tmp_path, dict(
+            BROWNIAN_SMALL, method="both", horizon=0.2, output_times=[0.2], dt=2e-3, ensemble_size=500,
+            tolerances={"l1": 1e-9, "terminal": 1e-9}, output_dir=str(tmp_path / "failing"),
+        ), "failing.json")
+        assert main(["run", str(failing), str(good)]) == 2
+        assert (tmp_path / "failing" / "report.json").exists() and (tmp_path / "good" / "pde_density.json").exists()
+        (tmp_path / "good" / "pde_density.json").unlink()
+        assert main(["run", str(bad), str(failing), str(good)]) == 1
+        assert capsys.readouterr().err.startswith(f"{bad}: config error:")
+        assert (tmp_path / "good" / "pde_density.json").exists()
+
     def test_bad_config_returns_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": "brownian_reset", "dx": 1})
         assert main(["run", str(path)]) == 1
@@ -417,16 +432,33 @@ class TestGoldenArtifacts:
         "threads": 1,
     }
 
-    @pytest.mark.parametrize("seed, digest", [
-        (1, "249f3233cd119f644f8f904f3a1eb30691155f9d344982b128a4f773a401561b"),
-        (2, "730eea9dd285fc80485bb112c47a5c521ebc906e571a6ac1eef11e4b193b5097"),
-    ], ids=["seed1", "seed2"])
-    def test_ruin_both_artifacts(self, tmp_path, seed, digest):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, dict(self.CONFIG, base_seed=seed, output_dir=str(out)))
-        assert main(["run", str(path)]) == 0
+    DIGESTS = {
+        1: "249f3233cd119f644f8f904f3a1eb30691155f9d344982b128a4f773a401561b",
+        2: "730eea9dd285fc80485bb112c47a5c521ebc906e571a6ac1eef11e4b193b5097",
+    }
+
+    @staticmethod
+    def digest(out):
         h = hashlib.sha256()
         for artifact in sorted(out.iterdir()):
             h.update(artifact.name.encode())
             h.update(artifact.read_bytes())
-        assert h.hexdigest() == digest
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("seed", [1, 2], ids=["seed1", "seed2"])
+    def test_ruin_both_artifacts(self, tmp_path, seed):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(self.CONFIG, base_seed=seed, output_dir=str(out)))
+        assert main(["run", str(path)]) == 0
+        assert self.digest(out) == self.DIGESTS[seed]
+
+    def test_artifacts_of_configs_run_in_one_process(self, tmp_path):
+        # the later runs split on the worker that the first one started
+        seeds = (1, 2, 1)
+        paths = [
+            str(write_config(tmp_path, dict(self.CONFIG, base_seed=seed, output_dir=str(tmp_path / f"out{k}")),
+                             f"c{k}.json"))
+            for k, seed in enumerate(seeds)
+        ]
+        assert main(["run", *paths]) == 0
+        assert [self.digest(tmp_path / f"out{k}") for k in range(3)] == [self.DIGESTS[seed] for seed in seeds]

@@ -1,3 +1,4 @@
+import importlib
 import math
 import multiprocessing
 import os
@@ -1249,28 +1250,44 @@ class TestProcessRanges:
         assert pooled_workers() == worker and worker[0].pid == pid
         assert multiprocessing.active_children() == worker
 
-    def test_worker_killed_while_idle_is_replaced(self, monkeypatch):
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGINT], ids=["killed", "ctrl_c"])
+    def test_worker_killed_while_idle_is_replaced(self, monkeypatch, sig):
+        # Ctrl-C in a terminal interrupts the whole process group: the idle
+        # worker leaves quietly, with no traceback
         args, kwargs = small_ruin_job()
         one = run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
         run_in_ranges(monkeypatch, 2, *args, **kwargs)
         killed = pooled_workers()[0]
-        killed.kill()
+        os.kill(killed.pid, sig)
         killed.join(timeout=10)
-        assert not killed.is_alive()
+        assert killed.exitcode == (0 if sig == signal.SIGINT else -sig)
         assert run_in_ranges(monkeypatch, 2, *args, **kwargs)[1:] == (one, 100)
         assert len(pooled_workers()) == 1 and pooled_workers()[0] is not killed
 
-    def test_idle_worker_ignores_an_interrupt(self, monkeypatch):
-        # Ctrl-C in a terminal interrupts the whole process group; the caller
-        # stops its worker when it needs to
+    def test_module_reloaded_between_splits_runs_its_new_code(self, monkeypatch, tmp_path):
+        # the first version tells a worker from the caller, so a split that
+        # differs from one process shows that the worker ran the module's
+        # code; after importlib.reload here the next split must not run the
+        # first version again.  The sources differ in size, so no cached
+        # bytecode passes for the second
+        source = tmp_path / "reloaded_phi.py"
+        source.write_text("import multiprocessing\n\ndef value(q, pts):\n"
+                          "    return pts[:, 0] + (multiprocessing.parent_process() is not None)\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        module = importlib.import_module("reloaded_phi")
         args, kwargs = small_ruin_job()
-        one = run_in_ranges(monkeypatch, 1, *args, **kwargs)[1]
-        run_in_ranges(monkeypatch, 2, *args, **kwargs)
+
+        def run(parts):
+            phi = TestFunction(module.value, exp_generator, terminal_values={"left": 2.0, "right": 3.0})
+            return run_in_ranges(monkeypatch, parts, *args, **dict(kwargs, test_functions=[phi]))[1]
+
+        assert run(2) != run(1)
         worker = pooled_workers()
-        os.kill(worker[0].pid, signal.SIGINT)
-        worker[0].join(timeout=0.5)
-        assert worker[0].is_alive()
-        assert run_in_ranges(monkeypatch, 2, *args, **kwargs)[1:] == (one, 100) and pooled_workers() == worker
+        source.write_text("def value(q, pts):\n    return 2.0 * pts[:, 0]\n")
+        importlib.reload(module)
+        assert run(2) == run(1)
+        assert len(pooled_workers()) == 1 and pooled_workers() != worker
+        sys.modules.pop("reloaded_phi")
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_a_worker_of_its_own(self, monkeypatch):
