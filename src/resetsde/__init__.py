@@ -39,7 +39,6 @@ from resetsde.simulate import (
 from resetsde.fpk import (
     DensityState,
     GridLayout,
-    apply_absorbing_bc,
     build_grid,
     coarsen,
     evolve,

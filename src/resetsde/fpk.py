@@ -7,7 +7,10 @@ operator, so the density is continuous across it; the mass that leaves
 through a source boundary face re-enters half in each of the two cells beside
 its image face, which makes the current jump there by h times the source
 outflux, and total mass is conserved structurally rather than asymptotically.
-Terminal states accumulate the outflux of their boundary faces.
+Terminal states accumulate the outflux of their boundary faces.  Every
+boundary face absorbs: its stencils read a ghost cell beyond it equal to
+the negated edge cell, so the face-interpolated density there is exactly 0.
+`_stencil_term` is the only place that rule is applied.
 
 The whole update is linear, so each grid assembles it once, on first use, as
 one sparse forward operator (`GridLayout.forward_operator`): face currents F,
@@ -29,9 +32,11 @@ p_i (1 - (1 - 1e-9)(1 + u)^2) >= 0, since the rounded row sum never falls
 below its diagonal product, and B p >= 0 for p >= 0; so `evolve` skips its
 per-step checks there with bit-identical output.  Operators with
 cross-diffusion, cell Peclet numbers above 2 or negative entries of B get
-`positivity_dt` = 0 and keep them, as do steps beyond the diagonal limit,
-which 2D boxes with absorbing corner cells can reach below the stability
-bound.
+`positivity_dt` = 0 and keep them.  The explicit stability bound behind
+`stable_dt`, 0.45 min(dx^2 / max|a|, dx / max|b|), is capped at that
+diagonal limit (1 - 1e-9) / max|diag L_h|, so no step `evolve` accepts has
+a negative diagonal; the cap binds at absorbing corner cells of 2D boxes,
+which see two ghosts.
 """
 
 from __future__ import annotations
@@ -165,7 +170,7 @@ class GridLayout(_Record):
 
     def stability_bound(self) -> float:
         if "stability" not in self._caches:
-            self._caches["stability"] = _stability_bound(self.model, self)
+            self._caches["stability"] = _stability_bound(self)
         return self._caches["stability"]
 
     def forward_operator(self) -> "ForwardOperator":
@@ -449,41 +454,6 @@ def project_density(grid: GridLayout, mode_fns: Sequence[Callable | None]) -> De
     return DensityState([a / mass for a in arrays], q0, 0.0)
 
 
-class GhostedDensity(NamedTuple):
-    """Mode densities padded by one ghost ring enforcing p = 0 on each face."""
-
-    padded: list
-    t: float
-
-
-def apply_absorbing_bc(model: HybridModel, grid: GridLayout, density: DensityState) -> GhostedDensity:
-    """Set ghost values so the face-interpolated boundary density is exactly 0."""
-    if model.characteristic_faces:
-        raise CharacteristicFacePresent(
-            "model declares characteristic faces; the solver has no boundary "
-            "condition there"
-        )
-    padded = []
-    for q_idx, arr in enumerate(density.p):
-        d = arr.ndim
-        pad = np.zeros(tuple(n + 2 for n in arr.shape))
-        sl = tuple(slice(1, -1) for _ in range(d))
-        pad[sl] = arr
-        for axis in range(d):
-            lo_ghost = [slice(1, -1)] * d
-            lo_ghost[axis] = 0
-            lo_edge = [slice(1, -1)] * d
-            lo_edge[axis] = 1
-            pad[tuple(lo_ghost)] = -pad[tuple(lo_edge)]
-            hi_ghost = [slice(1, -1)] * d
-            hi_ghost[axis] = -1
-            hi_edge = [slice(1, -1)] * d
-            hi_edge[axis] = -2
-            pad[tuple(hi_ghost)] = -pad[tuple(hi_edge)]
-        padded.append(pad)
-    return GhostedDensity(padded, density.t)
-
-
 # ---------------------------------------------------------------------------
 # assembled forward operator
 
@@ -710,10 +680,15 @@ def _positivity_dt(rate, outflux, terminal) -> float:
     entry of B and T is nonnegative, else 0: no dt is certified.
     """
     rows, cols, vals = rate
-    diag = rows == cols
-    if min(np.min(x, initial=0.0) for x in (vals[~diag], outflux[2], terminal[2])) < 0.0:
+    if min(np.min(x, initial=0.0) for x in (vals[rows != cols], outflux[2], terminal[2])) < 0.0:
         return 0.0
-    worst = float(np.max(np.abs(vals[diag]), initial=0.0))
+    return _diagonal_limit(rate)
+
+
+def _diagonal_limit(rate) -> float:
+    """(1 - 1e-9) / max|diag L_h|: below it every diagonal entry of I + dt L_h is positive."""
+    rows, cols, vals = rate
+    worst = float(np.max(np.abs(vals[rows == cols]), initial=0.0))
     return (1.0 - _POSITIVITY_MARGIN) / worst if worst > 0.0 else np.inf
 
 
@@ -852,13 +827,14 @@ def _coalesce(triplets, n_cols: int):
     return ((keys // n_cols).astype(np.intp), (keys % n_cols).astype(np.intp), summed[nz])
 
 
-def _stability_bound(model, grid: GridLayout) -> float:
+def _stability_bound(grid: GridLayout) -> float:
+    """0.45 min(dx^2 / max|a|, dx / max|b|), capped at the operator's diagonal limit."""
     a_max = 0.0
     b_max = 0.0
     dx_min = np.inf
     for q_idx, mg in enumerate(grid.mode_grids):
         pts = mg.cell_center_points().reshape(-1, grid.dimension)
-        b, a = ito_coefficients(model, q_idx, pts)
+        b, a = ito_coefficients(grid.model, q_idx, pts)
         # infinity norm bounds the spectral radius of the symmetric a
         a_max = max(a_max, float(np.max(np.sum(np.abs(a), axis=-1))))
         b_max = max(b_max, float(np.max(np.abs(b))))
@@ -868,7 +844,7 @@ def _stability_bound(model, grid: GridLayout) -> float:
         bound = min(bound, dx_min * dx_min / a_max)
     if b_max > 0:
         bound = min(bound, dx_min / b_max)
-    return _STABILITY_SAFETY * bound
+    return min(_STABILITY_SAFETY * bound, _diagonal_limit(grid.forward_operator().rate))
 
 
 def stable_dt(grid: GridLayout, fraction: float = 1.0) -> float:
@@ -895,8 +871,7 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     nonnegative, the step matrix is certified entrywise nonnegative, so no
     check could fire (module docstring), and the step is the matvec and the
     add alone.  Operators with cross-diffusion, cell Peclet numbers above 2
-    or negative entries of B, steps beyond the diagonal limit (2D boxes with
-    absorbing corner cells) and densities with negative cells keep the
+    or negative entries of B and densities with negative cells keep the
     per-step checks: a negative raw outflux is clamped to zero through R,
     p += dt (L_h p - R min(B p, 0)), and likewise for the terminal masses,
     or raises NegativeOutflux below -1e-6 max|F p|; a density undershooting

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from resetsde.fpk import DensityState, GridLayout, total_mass
-from resetsde.model import HybridModel, SurfaceTarget, _Record
+from resetsde.model import HybridModel, SurfaceTarget, _Record, ito_drift
 from resetsde.simulate import EmpiricalMeasure
 
 
@@ -73,37 +73,19 @@ class TestFunction:
         return self.terminal_values.get(terminal, 0.0)
 
     def _fd_generator(self, mode: int, points: np.ndarray) -> np.ndarray:
-        """A0 phi + 1/2 sum_r (A_r . grad)^2 phi by directional differences."""
-        fields = self._model.modes[mode].fields
+        """b . grad phi + 1/2 sum_r A_r^T (Hess phi) A_r, with b the Ito drift:
+        central differences along each axis and along each A_r."""
         h = self._fd_step
+        b, values = ito_drift(self._model, mode, points)
+
+        def phi(pts):
+            return self.evaluate(mode, pts)
+
         out = np.zeros(points.shape[0])
-        a0 = fields.drift(points)
-        d = points.shape[1]
-        for j in range(d):
-            stepv = np.zeros(d)
-            stepv[j] = h
-            dphi = (
-                self.evaluate(mode, points + stepv) - self.evaluate(mode, points - stepv)
-            ) / (2 * h)
-            out += a0[:, j] * dphi
-        for a_field in fields.diffusion:
-            val = a_field(points)
-            phi_p = self.evaluate(mode, points + h * val)
-            phi_m = self.evaluate(mode, points - h * val)
-            phi_0 = self.evaluate(mode, points)
-            # (A . grad)^2 phi from a directional second difference, plus the
-            # ((grad A) A) . grad phi transport term of A^2 phi
-            jac = a_field.jacobian(points)
-            w = np.einsum("kji,ki->kj", jac, val)
-            grad = np.zeros_like(out)
-            for j in range(d):
-                stepv = np.zeros(d)
-                stepv[j] = h
-                dphi = (
-                    self.evaluate(mode, points + stepv) - self.evaluate(mode, points - stepv)
-                ) / (2 * h)
-                grad += w[:, j] * dphi
-            out += 0.5 * ((phi_p - 2 * phi_0 + phi_m) / h**2 + grad)
+        for j, step in enumerate(h * np.eye(points.shape[1])):
+            out += b[:, j] * (phi(points + step) - phi(points - step)) / (2 * h)
+        for val in values:
+            out += 0.5 * (phi(points + h * val) - 2 * phi(points) + phi(points - h * val)) / h**2
         return out
 
     def check_support(self, probes: np.ndarray, mode: int = 0, tol: float = 0.0) -> bool:

@@ -18,7 +18,6 @@ from resetsde.fpk import (
     StabilityViolation,
     UnsupportedDimension,
     _matvec,
-    apply_absorbing_bc,
     build_grid,
     coarsen,
     evolve,
@@ -257,24 +256,33 @@ class TestBuildGrid:
 
 
 class TestAbsorbingBC:
-    def test_ghosts_negate_edge_cells_exactly(self):
+    def test_boundary_rows_see_a_face_density_of_zero(self):
+        # the absorbing ghost is the negated edge cell, so a boundary face's
+        # current row holds only the edge cell, at twice an interior face's
+        # diffusive weight: the one-sided difference to p = 0 at the face
         model = brownian_interval(0.0, 1.0)
         grid = build_grid(model, 50)
-        density = point_density(grid, 0, 0.5, 0.1)
-        ghosted = apply_absorbing_bc(model, grid, density)
-        pad = ghosted.padded[0]
-        assert pad[0] == -pad[1]
-        assert pad[-1] == -pad[-2]
-        # face-interpolated boundary density is exactly zero
-        assert 0.5 * (pad[0] + pad[1]) == 0.0
-        assert 0.5 * (pad[-1] + pad[-2]) == 0.0
+        op = grid.forward_operator()
+        rows, cols, vals = fpk._coalesce(op.current, op.n_cells)
 
-    def test_linear_profile_ghost_is_negated_neighbour(self):
+        def row(face):
+            return cols[rows == face].tolist(), vals[rows == face].tolist()
+
+        inner = row(1)[1]
+        assert inner[0] == -inner[1] > 0.0
+        assert row(0) == ([0], [2 * inner[1]])
+        assert row(50) == ([49], [2 * inner[0]])
+        # each boundary row of B has one entry
+        assert np.array_equal(np.bincount(op.outflux[0]), [1, 1])
+
+    def test_linear_profile_current_is_the_half_cell_difference_to_zero(self):
         model = brownian_interval(0.0, 1.0)
         grid = build_grid(model, 10)
-        density = DensityState([np.linspace(0.1, 1.0, 10)], {"hit": 0.0, "escaped": 0.0}, 0.0)
-        ghosted = apply_absorbing_bc(model, grid, density)
-        assert ghosted.padded[0][0] == -0.1
+        p = np.linspace(0.1, 1.0, 10)
+        currents = face_currents_1d(grid, [p])
+        # J = -1/2 dp/dx, from the edge cell to p = 0 half a cell away
+        assert currents[0] == pytest.approx(-0.5 * 0.1 / 0.05, rel=1e-14)
+        assert currents[-1] == pytest.approx(0.5 * 1.0 / 0.05, rel=1e-14)
 
     def test_sine_mode_decay_matches_separation_of_variables(self):
         # heat equation on [0, 1] with absorbing ends: the sine mode decays
@@ -898,8 +906,8 @@ CERTIFICATE_CASES = {
     "thermostat_1d dx 0.02": (lambda: (thermostat_1d(), thermostat_resolution(0.02)), 1.0, False),
     # cross-diffusion: negative entries of B and L_h
     "sheared_box_2d": (lambda: (sheared_box_2d(), [(16, 24)]), 0.9, False),
-    # absorbing corner cells: dt max|diag L_h| = 1.24 > 1
-    "two_box_2d": (lambda: (Test2DTransfer().build_two_box_model(), [(20, 20), (40, 20)]), 0.9, False),
+    # absorbing corner cells: the diagonal limit caps the stability bound
+    "two_box_2d": (lambda: (Test2DTransfer().build_two_box_model(), [(20, 20), (40, 20)]), 0.9, True),
 }
 
 
@@ -1111,6 +1119,13 @@ class TestForwardOperator:
         model, resolution = build()
         grid = build_grid(model, resolution)
         assert (stable_dt(grid, fraction) <= grid.forward_operator().positivity_dt) == certified
+
+    @pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
+    def test_stable_dt_keeps_the_diagonal_of_the_step_positive(self, case):
+        model, resolution = CERTIFICATE_CASES[case][0]()
+        grid = build_grid(model, resolution)
+        rows, cols, vals = grid.forward_operator().rate
+        assert stable_dt(grid, 1.0) * np.max(np.abs(vals[rows == cols])) < 1.0
 
     def test_uncertified_cross_diffusion_keeps_the_outflux_check(self):
         # the tangential stencil term at an absorbing face gives B negative

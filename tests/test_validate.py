@@ -10,6 +10,16 @@ from resetsde.fpk import (
     stationary_density,
     total_mass,
 )
+from resetsde.model import (
+    AffineField,
+    Mode,
+    ModelSpec,
+    ResetEdge,
+    TerminalTarget,
+    VectorFieldSet,
+    build_model,
+    interval_domain,
+)
 from resetsde.scenarios import (
     GaussianCells,
     ThermostatParams,
@@ -87,6 +97,23 @@ class TestTestFunction:
             ref = analytic.generator(mode, pts)
             fd = numeric.generator(mode, pts)
             assert np.max(np.abs(ref - fd)) < 1e-4 * max(1.0, np.max(np.abs(ref)))
+
+    def test_fd_generator_takes_the_ito_drift_of_state_dependent_noise(self):
+        # dX = (0.5 - X) dt + A(X) o dW with A(x) = 0.2 + 0.3 x, so the Ito
+        # drift is b = 0.5 - x + 1/2 A A' = 0.5 - x + 0.15 A; for phi = e^x
+        # the generator is (b + 1/2 A^2) e^x
+        mode = Mode(
+            interval_domain(0.0, 2.0),
+            VectorFieldSet(AffineField([[-1.0]], [0.5]), (AffineField([[0.3]], [0.2]),)),
+        )
+        edges = [ResetEdge(0, f, TerminalTarget("out")) for f in (0, 1)]
+        model = build_model(ModelSpec(1, [mode], edges, terminal_states=["out"]))
+        numeric = TestFunction(lambda mode, pts: np.exp(pts[:, 0]), model=model)
+        x = np.array([0.3, 0.9, 1.5, 1.8])
+        a = 0.2 + 0.3 * x
+        ref = (0.5 - x + 0.15 * a + 0.5 * a**2) * np.exp(x)
+        fd = numeric.generator(0, x[:, None])
+        assert np.max(np.abs(ref - fd)) < 1e-4 * np.max(np.abs(ref))
 
 
 class TestDynkinResidual:
