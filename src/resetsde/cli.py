@@ -252,6 +252,14 @@ def _affine_from(obj, what) -> AffineField:
         raise SchemaError(f"{what} needs 'matrix' and 'offset'") from None
 
 
+def _corners(mspec: dict, key: str, i: int) -> list:
+    """mspec[key] of an inline mode as a [lo, hi] pair, or a SchemaError naming it."""
+    value = mspec[key]
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(f"mode {i} {key} must be a [lo, hi] pair, got {value!r}")
+    return value
+
+
 def _parse_inline_model(doc: dict):
     d = _integer(doc, "dimension", 1, 1)
     modes = []
@@ -259,17 +267,17 @@ def _parse_inline_model(doc: dict):
         if not isinstance(mspec, dict):
             raise SchemaError(f"model.modes[{i}] must be an object, got {mspec!r}")
         if "box" in mspec:
-            lo, hi = mspec["box"]
-            domain = box_domain(lo, hi)
+            domain = box_domain(*_corners(mspec, "box", i))
         else:
             hs = mspec.get("halfspaces")
-            if hs is None:
-                raise SchemaError(f"mode {i} needs 'box' or 'halfspaces'")
+            if not isinstance(hs, list):
+                raise SchemaError(f"mode {i} needs 'box' or a 'halfspaces' list")
+            what = [f"mode {i} halfspace {k}" for k in range(len(hs))]
             domain = PolyDomain(
-                [h["normal"] for h in hs],
-                [h["offset"] for h in hs],
-                interior_point=mspec["interior_point"],
-                box=tuple(np.asarray(b, float) for b in mspec["box_hull"]) if "box_hull" in mspec else None,
+                [_require(h, "normal", w) for h, w in zip(hs, what)],
+                [_require(h, "offset", w) for h, w in zip(hs, what)],
+                interior_point=_require(mspec, "interior_point", f"mode {i}"),
+                box=_corners(mspec, "box_hull", i) if "box_hull" in mspec else None,
             )
         drift = _affine_from(_require(mspec, "drift", f"mode {i}"), f"mode {i} drift")
         diffusion = tuple(
@@ -332,8 +340,7 @@ def _bundle_from_config(config: RunConfig) -> dict:
         raise SchemaError(f"initial: {exc}") from None
     cells = [None] * len(model.modes)
     cells[int(mode)] = _ProductGaussianCells(mean, std)
-    lo, hi = model.modes[0].domain.box
-    span = float(hi[0] - lo[0])
+    box = model.modes[0].domain.box
     return {
         "model": model,
         "initial_law": law,
@@ -345,7 +352,8 @@ def _bundle_from_config(config: RunConfig) -> dict:
             )
             for m in model.modes
         ],
-        "default_dx": span / 128,
+        # a box-less model has no grid; its MC-only runs need no cell width
+        "default_dx": None if box is None else float(box[1][0] - box[0][0]) / 128,
     }
 
 
@@ -412,14 +420,15 @@ def run(config: RunConfig) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    lo, hi = model.modes[0].domain.box
-    span = float(hi[0] - lo[0])
     n_cells = config.resolution
-    if n_cells is None:
-        n_cells = int(round(span / bundle["default_dx"]))
-    dx = span / n_cells
     try:
-        grid = fpk.build_grid(model, bundle["resolution"](dx))
+        boxes = [m.domain.box for m in model.modes]
+        if None in boxes:
+            raise fpk.UnsupportedDomain(f"mode {boxes.index(None)} has no bounding box ('box' or 'box_hull')")
+        span = float(boxes[0][1][0] - boxes[0][0][0])
+        if n_cells is None:
+            n_cells = int(round(span / bundle["default_dx"]))
+        grid = fpk.build_grid(model, bundle["resolution"](span / n_cells))
     except (ScenarioError, fpk.SolverError) as exc:
         if config.method != "mc":
             raise SchemaError(f"scenario_options: {exc}") if isinstance(exc, ScenarioError) else exc

@@ -8,35 +8,37 @@ through a source boundary face re-enters half in each of the two cells beside
 its image face, which makes the current jump there by h times the source
 outflux, and total mass is conserved structurally rather than asymptotically.
 Terminal states accumulate the outflux of their boundary faces.  Every
-boundary face absorbs: its stencils read a ghost cell beyond it equal to
-the negated edge cell, so the face-interpolated density there is exactly 0.
-`_stencil_term` is the only place that rule is applied.
+boundary face absorbs: its current is the exponentially fitted flux from
+its edge cell to p = 0 at the face, half a cell away (Scharfetter & Gummel
+1969), so its outflux is a nonnegative multiple of the edge cell.  Centred
+tangential differences beside a box side read a ghost cell beyond it equal
+to the negated edge cell; `_stencil_term` is the only place that rule is
+applied.
 
 The whole update is linear, so each grid assembles it once, on first use, as
 one sparse forward operator (`GridLayout.forward_operator`): face currents F,
-boundary outflux B (the boundary rows of F, signed outward), the routing R
-of each boundary face's outflux to its edge cell and the two cells beside
-its image face or its terminal, cell rates L_h = div F + R B and terminal
-rates T.  It is the only implementation of the update: `evolve` steps by its
-banded form (full diagonals as shifted slices), clamping a negative outflux
-through R; `stationary_density` is a sparse LU solve and the only place that
-loads scipy; `validate.flux_continuity_residual` reads B p and the one-sided
-rows of F p.
+boundary outflux B >= 0 (the boundary rows of F, signed outward), cell rates
+L_h = div F + R B and terminal rates T, where R routes each boundary face's
+outflux from its edge cell to its terminal or the two cells beside its image
+face.  It is the only implementation of the update: `evolve` steps by its
+banded form (full diagonals as shifted slices); `stationary_density` is a
+sparse LU solve and the only place that loads scipy;
+`validate.flux_continuity_residual` reads B p and the one-sided rows of F p.
 
 Assembly also certifies positivity once per grid (Chang & Cooper 1970): when
-every off-diagonal entry of L_h and every entry of B and T is nonnegative,
-the step matrix I + dt L_h is entrywise nonnegative for dt up to
-`positivity_dt` = (1 - 1e-9) / max|diag L_h|, a Markov chain on cells.  In
-floating point each cell's step p_i + dt (L_h p)_i is then at least
-p_i (1 - (1 - 1e-9)(1 + u)^2) >= 0, since the rounded row sum never falls
-below its diagonal product, and B p >= 0 for p >= 0; so `evolve` skips its
-per-step checks there with bit-identical output.  Operators with
-cross-diffusion, cell Peclet numbers above 2 or negative entries of B get
-`positivity_dt` = 0 and keep them.  The explicit stability bound behind
+every off-diagonal entry of L_h is nonnegative, the step matrix I + dt L_h
+is entrywise nonnegative for dt up to `positivity_dt` =
+(1 - 1e-9) / max|diag L_h|, a Markov chain on cells; T, the terminal rows
+of R B, is nonnegative by construction.  In floating point each cell's step
+p_i + dt (L_h p)_i is then at least p_i (1 - (1 - 1e-9)(1 + u)^2) >= 0,
+since the rounded row sum never falls below its diagonal product; so
+`evolve` skips its per-step check there with bit-identical output.
+Operators with cross-diffusion or cell Peclet numbers above 2 get
+`positivity_dt` = 0 and keep it.  The explicit stability bound behind
 `stable_dt`, 0.45 min(dx^2 / max|a|, dx / max|b|), is capped at that
 diagonal limit (1 - 1e-9) / max|diag L_h|, so no step `evolve` accepts has
 a negative diagonal; the cap binds at absorbing corner cells of 2D boxes,
-which see two ghosts.
+which have two boundary faces.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from resetsde.model import (
 
 _ALIGN_REL_TOL = 1e-9
 _NEG_DENSITY_REL_TOL = 1e-12
-_NEG_OUTFLUX_REL_TOL = 1e-6
 _STABILITY_SAFETY = 0.45
 _POSITIVITY_MARGIN = 1e-9
 _BAND_MIN_ROWS = 512   # shorter diagonals step faster by bincount (BENCH_14.json)
@@ -87,10 +88,6 @@ class StabilityViolation(SolverError):
 
 class NegativeDensity(SolverError):
     """A cell density undershot beyond the tolerated rounding band."""
-
-
-class NegativeOutflux(SolverError):
-    """Boundary outflux is negative beyond tolerance (boundary condition broken)."""
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +485,14 @@ class ForwardOperator(NamedTuple):
     the faces of each mode and axis in C order, then for each reset edge the
     one-sided currents below and above its image faces, whose rows are
     `image_rows[edge]`.  F is not coalesced (`_matvec` sums duplicates).
-    `outflux` is B, the raw outflux J.nu of every boundary face before any
-    clamp, table by table, with `outflux_edge` naming the reset edge of each
-    row.  `routing` is R: a unit of outflux leaves its edge cell and enters
-    its terminal (rows n_cells onward, in the model's terminal order) or,
-    half in each, the two cells beside its image face.  `rate` is
-    L_h = div F + R B over cells, where the divergence skips boundary faces
-    and image faces are ordinary inner faces, and `terminal` is T, the
-    terminal rows of R B.  Each face coefficient enters its two cells, or
+    `outflux` is B, the outflux J.nu of every boundary face, table by table,
+    with `outflux_edge` naming the reset edge of each row; a row's one
+    entry, if any, is on its edge cell and nonnegative.  `rate` is
+    L_h = div F + R B over cells, where the divergence skips boundary faces,
+    image faces are ordinary inner faces, and R sends a unit of outflux from
+    its edge cell to its terminal or, half in each, the two cells beside its
+    image face; `terminal` is T, the terminal rows of R B, in the model's
+    terminal order.  Each face coefficient enters its two cells, or
     its source cell and its target cells or terminal, with opposite signs,
     so the volume-weighted column sums of [L_h; T] vanish up to rounding.
     `positivity_dt` is the largest step certified to keep the density
@@ -509,7 +506,6 @@ class ForwardOperator(NamedTuple):
     image_rows: dict
     outflux: tuple
     outflux_edge: np.ndarray
-    routing: tuple
     rate: tuple
     terminal: tuple
     positivity_dt: float
@@ -580,7 +576,7 @@ class _BandedStep:
 
 
 def _assemble_operator(grid: GridLayout) -> ForwardOperator:
-    """F from the sampled face coefficients; B and div F from its terms, R B by composition."""
+    """F from the sampled face coefficients; B, div F and R B from its terms."""
     model = grid.model
     shapes = tuple(mg.shape for mg in grid.mode_grids)
     offsets = np.concatenate(([0], np.cumsum([int(np.prod(s)) for s in shapes])))
@@ -593,11 +589,11 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
         m = 1 if mg.dimension == 1 else mg.shape[1 - tab.src_axis]
         boundary[(tab.source_mode, tab.src_axis, tab.src_side)] = (tab, len(outflux_edge))
         outflux_edge += [tab.edge_index] * m
-    n_out = len(outflux_edge)
+    terminal_row = {name: n_cells + i for i, name in enumerate(model.terminal_states)}
 
     # field samples at each mode's faces and cells, taken once per grid
     samples = [_field_samples(model, mg, q) for q, mg in enumerate(grid.mode_grids)]
-    current, rate, outflux = [], [], []
+    current, rate, outflux, routed = [], [], [], []
     n_faces = 0
     for q, mg in enumerate(grid.mode_grids):
         d = mg.dimension
@@ -617,9 +613,22 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
                 ridx = _index(axis, k_cell[inner], ft[inner] if d == 2 else None)
                 rows = offsets[q] + np.ravel_multi_index(ridx, mg.shape)
                 rate.append((rows, col[inner], sign * coef[inner]))
+            # a boundary face has one term, on its edge cell, in tangential
+            # order; R sends its outflux from that cell to its terminal or,
+            # half in each, to the two cells beside its image face
             for side, at in ((0, fk == 0), (1, fk == n)):
-                start = boundary[(q, axis, side)][1]
-                outflux.append((start + ft[at], col[at], w[at] if side else -w[at]))
+                tab, start = boundary[(q, axis, side)]
+                edge, b = col[at], (w[at] if side else -w[at])
+                outflux.append((start + ft[at], edge, b))
+                routed.append((edge, edge, -mg.face_area(axis) / mg.cell_volume * b))
+                if isinstance(tab, TransferTable):
+                    tg = grid.mode_grids[tab.target_mode]
+                    for k_cell in (tab.h_face_index - 1, tab.h_face_index):
+                        tidx = _index(tab.h_axis, np.full(b.size, k_cell), tab.tgt_tangential)
+                        cells = offsets[tab.target_mode] + np.ravel_multi_index(tidx, tg.shape)
+                        routed.append((cells, edge, 0.5 * tab.source_area / tg.cell_volume * b))
+                else:
+                    routed.append((np.full(b.size, terminal_row[tab.terminal]), edge, mg.face_area(axis) * b))
             n_faces += int(np.prod(face_shape))
 
     image_rows = {}
@@ -631,28 +640,7 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
         image_rows[tab.edge_index] = (n_faces + np.arange(m), n_faces + m + np.arange(m))
         n_faces += 2 * m
 
-    routing = []
-    terminal_row = {name: n_cells + i for i, name in enumerate(model.terminal_states)}
-    for (q, axis, side), (tab, start) in boundary.items():
-        mg = grid.mode_grids[q]
-        tang = None if mg.dimension == 1 else np.arange(mg.shape[1 - axis])
-        src = start + (np.zeros(1, dtype=int) if tang is None else tang)
-        edge = np.full(src.size, 0 if side == 0 else mg.shape[axis] - 1)
-        cells = offsets[q] + np.ravel_multi_index(_index(axis, edge, tang), mg.shape)
-        routing.append((cells, src, np.full(src.size, -mg.face_area(axis) / mg.cell_volume)))
-        if isinstance(tab, TransferTable):
-            tg = grid.mode_grids[tab.target_mode]
-            share = np.full(src.size, 0.5 * tab.source_area / tg.cell_volume)
-            for k_cell in (tab.h_face_index - 1, tab.h_face_index):
-                tidx = _index(tab.h_axis, np.full(src.size, k_cell), tab.tgt_tangential)
-                cells = offsets[tab.target_mode] + np.ravel_multi_index(tidx, tg.shape)
-                routing.append((cells, src, share))
-        else:
-            rows = np.full(src.size, terminal_row[tab.terminal])
-            routing.append((rows, src, np.full(src.size, mg.face_area(axis))))
-
-    routing, outflux = _join(routing), _join(outflux)
-    routed = _compose(routing, outflux, n_out)
+    outflux, routed = _join(outflux), _join(routed)
     to_cell = routed[0] < n_cells
     rate = _join(rate + [[x[to_cell] for x in routed]])
     terminal = [x[~to_cell] for x in routed]
@@ -666,21 +654,20 @@ def _assemble_operator(grid: GridLayout) -> ForwardOperator:
         image_rows=image_rows,
         outflux=outflux,
         outflux_edge=np.asarray(outflux_edge, dtype=int),
-        routing=routing,
         rate=rate,
         terminal=terminal,
-        positivity_dt=_positivity_dt(rate, outflux, terminal),
+        positivity_dt=_positivity_dt(rate),
     )
 
 
-def _positivity_dt(rate, outflux, terminal) -> float:
-    """Largest dt for which I + dt L_h, B and T are certified entrywise nonnegative.
+def _positivity_dt(rate) -> float:
+    """Largest dt for which I + dt L_h is certified entrywise nonnegative.
 
-    (1 - 1e-9) / max|diag L_h| when every off-diagonal entry of L_h and every
-    entry of B and T is nonnegative, else 0: no dt is certified.
+    (1 - 1e-9) / max|diag L_h| when every off-diagonal entry of L_h is
+    nonnegative, else 0: no dt is certified.
     """
     rows, cols, vals = rate
-    if min(np.min(x, initial=0.0) for x in (vals[rows != cols], outflux[2], terminal[2])) < 0.0:
+    if np.min(vals[rows != cols], initial=0.0) < 0.0:
         return 0.0
     return _diagonal_limit(rate)
 
@@ -719,34 +706,51 @@ def _stencil_term(mg: ModeGrid, axis: int, rows, coef, ik, it, sample=None):
 def _face_current_terms(mg: ModeGrid, samples: dict, axis: int):
     """(face, cell, weight) with J.e_axis = sum weight * p[cell] on every face.
 
-    Centred face values and normal differences with absorbing ghosts, and in
-    2D the face mean of centred tangential differences, replicated at the
-    boundary faces and ghosted along the tangent.
+    Inner faces take centred face values and normal differences, and in 2D
+    the face mean of centred tangential differences, ghosted along the
+    tangent.  A boundary face takes the fitted half-cell flux from its edge
+    cell to p = 0 at the face, h = dx/2 away: J = -(D/h) B(v h/D) p_edge on
+    the lower face and (D/h) B(-v h/D) p_edge on the upper one, with v and D
+    as in `_one_sided_terms`.  Its outflux is therefore never negative for a
+    nonnegative edge cell.
     """
     d = mg.dimension
     tax = 1 - axis
+    n = mg.shape[axis]
     face_shape = tuple(s + (k == axis) for k, s in enumerate(mg.shape))
     fidx = np.indices(face_shape).reshape(d, -1)
-    fk = fidx[axis]
-    ft = fidx[tax] if d == 2 else None
-    face = np.arange(fk.size)
+    inner = (fidx[axis] >= 1) & (fidx[axis] < n)
+    face = np.flatnonzero(inner)
+    fk = fidx[axis][inner]
+    ft = fidx[tax][inner] if d == 2 else None
     terms = []
 
     def emit(coef, ik, it, sample=None):
         terms.append(_stencil_term(mg, axis, face, coef, ik, it, sample))
 
-    half_a0 = 0.5 * samples[("A0f", axis)].reshape(-1)
+    half_a0 = 0.5 * samples[("A0f", axis)].reshape(-1)[inner]
     emit(half_a0, fk - 1, ft)
     emit(half_a0, fk, ft)
     for a_cell, a_face in zip(samples["A_cell"], samples[("Af", axis)]):
-        c = -0.5 * a_face.reshape(-1)
+        c = -0.5 * a_face.reshape(-1)[inner]
         emit(c / mg.dx[axis], fk, ft, a_cell[..., axis])
         emit(-c / mg.dx[axis], fk - 1, ft, a_cell[..., axis])
         if d == 2:
             ct = 0.25 * c / mg.dx[tax]
-            for ik in (np.maximum(fk - 1, 0), np.minimum(fk, mg.shape[axis] - 1)):
+            for ik in (fk - 1, fk):
                 emit(ct, ik, ft + 1, a_cell[..., tax])
                 emit(-ct, ik, ft - 1, a_cell[..., tax])
+
+    tang, h = (None if d == 1 else np.arange(mg.shape[tax])), 0.5 * mg.dx[axis]
+    for side, sign in ((0, -1.0), (1, 1.0)):
+        along = np.full(1 if d == 1 else tang.size, side * n)
+        at, edge = _index(axis, along, tang), _index(axis, along - side, tang)
+        on_face = [a[at] for a in samples[("Af", axis)]]
+        in_cell = [a[..., axis][edge] for a in samples["A_cell"]]
+        below, above = (on_face, in_cell) if side == 0 else (in_cell, on_face)
+        v, diff = _drift_and_diffusion(samples, axis, at, below, above, h)
+        w = sign * _fitted(-sign * v, diff, h)
+        terms.append((np.ravel_multi_index(at, face_shape), np.ravel_multi_index(edge, mg.shape), w))
     return _join(terms)
 
 
@@ -757,11 +761,10 @@ def _one_sided_terms(mg: ModeGrid, samples: dict, tab: TransferTable):
     one on the face above it (faces j_h - 1 and j_h + 1), so neither sees the
     jump at H.  Each is the exponentially fitted flux of the two cells beside
     its face (Scharfetter & Gummel 1969), J = (D/dx) (B(-Pe) p_lo - B(Pe) p_hi)
-    with B(x) = x / expm1(x), D = 1/2 sum_r A_r.e_k^2, Pe = v dx / D and v
-    the drift less 1/2 sum_r A_r.e_k d_k A_r.e_k.  It is exact for a constant
-    current under constant coefficients, so the boundary layer behind H does
-    not spoil it.  In 2D the centred tangential difference along the cell
-    column next to H is added, ghosted at its ends.
+    with B(x) = x / expm1(x) and Pe = v dx / D (`_drift_and_diffusion`).  It
+    is exact for a constant current under constant coefficients, so the
+    boundary layer behind H does not spoil it.  In 2D the centred tangential
+    difference along the cell column next to H is added, ghosted at its ends.
     """
     k, t = tab.h_axis, tab.tgt_tangential
     dx = mg.dx[k]
@@ -770,14 +773,11 @@ def _one_sided_terms(mg: ModeGrid, samples: dict, tab: TransferTable):
     rows = np.arange(2 * m)
     tt = None if t is None else np.tile(t, 2)
     fk = np.concatenate([jh - 1, jh + 1])
+    # the face sits between cells fk - 1 and fk, so `at` also names the upper cell
     at, lo = _index(k, fk, tt), _index(k, fk - 1, tt)
-    v = samples[("A0f", k)][at]
-    d = np.zeros(2 * m)
-    for a_cell, a_face in zip(samples["A_cell"], samples[("Af", k)]):
-        af = a_face[at]
-        d += 0.5 * af * af
-        # the face sits between cells fk - 1 and fk, so `at` also names the upper cell
-        v = v - 0.5 * af * (a_cell[..., k][at] - a_cell[..., k][lo]) / dx
+    below = [a[..., k][lo] for a in samples["A_cell"]]
+    above = [a[..., k][at] for a in samples["A_cell"]]
+    v, d = _drift_and_diffusion(samples, k, at, below, above, dx)
     terms = [
         _stencil_term(mg, k, rows, _fitted(-v, d, dx), fk - 1, tt),
         _stencil_term(mg, k, rows, -_fitted(v, d, dx), fk, tt),
@@ -792,6 +792,22 @@ def _one_sided_terms(mg: ModeGrid, samples: dict, tab: TransferTable):
     return _join(terms)
 
 
+def _drift_and_diffusion(samples: dict, k: int, at, below, above, dist):
+    """v and D of the fitted flux at the faces `at` normal to axis k.
+
+    D = 1/2 sum_r A_r.e_k^2 and v is the drift less the Ito correction
+    1/2 sum_r A_r.e_k d_k A_r.e_k, with d_k A_r.e_k the difference of the
+    samples `above` and `below` the face (one array per r), `dist` apart.
+    """
+    v = samples[("A0f", k)][at]
+    d = 0.0
+    for a_face, a_lo, a_hi in zip(samples[("Af", k)], below, above):
+        af = a_face[at]
+        d = d + 0.5 * af * af
+        v = v - 0.5 * af * (a_hi - a_lo) / dist
+    return v, d
+
+
 def _fitted(v, d, dx):
     """(d/dx) B(v dx / d) with B(x) = x / expm1(x), B(0) = 1; max(-v, 0) where d = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -801,20 +817,6 @@ def _fitted(v, d, dx):
 def _join(parts):
     """One (rows, cols, vals) triplet from a list of them."""
     return tuple(np.concatenate(x) for x in zip(*parts))
-
-
-def _compose(outer, inner, n_mid: int):
-    """Triplets of the product outer @ inner; duplicate entries in either are fine."""
-    o_rows, o_cols, o_vals = outer
-    i_rows, i_cols, i_vals = inner
-    order = np.argsort(i_rows, kind="stable")
-    counts = np.bincount(i_rows, minlength=n_mid)
-    starts = np.cumsum(counts) - counts
-    reps = counts[o_cols]
-    which = np.repeat(np.arange(o_rows.size), reps)
-    within = np.arange(which.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    j = order[starts[o_cols][which] + within]
-    return o_rows[which], i_cols[j], o_vals[which] * i_vals[j]
 
 
 def _coalesce(triplets, n_cols: int):
@@ -856,28 +858,27 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     """Advance the density n_steps explicit Euler steps of size dt.
 
     Each step applies the grid's assembled forward operator to the pre-step
-    density: the raw boundary outflux B p, the cell rates L_h p (image-face
-    sources included) and the terminal rates T p, as one matvec of the
-    stacked operator [B; dt T; dt L_h], added to one state vector
-    [B slots | q | p].  Mass is conserved after every step up to rounding.
-    The matvec is banded, its layout built on a grid's first evolve: each
-    diagonal col - row with >= 512 entries multiplies a shifted slice of the
-    zero-padded state, added in ascending offset order into zeros, and bincount
-    sums the rows with other entries (B, T, cells beside image faces).  Rows
-    add their products in column order from +0.0, which a missing entry's zero
-    product cannot change, so the bytes are those of one bincount.
+    density: the cell rates L_h p (image-face sources included) and the
+    terminal rates T p, as one matvec of the stacked operator [dt T; dt L_h],
+    added to one state vector [q | p].  Mass is conserved after every step up
+    to rounding.  The matvec is banded, its layout built on a grid's first
+    evolve: each diagonal col - row with >= 512 entries multiplies a shifted
+    slice of the zero-padded state, added in ascending offset order into
+    zeros, and bincount sums the rows with other entries (T, cells beside
+    image faces).  Rows add their products in column order from +0.0, which
+    a missing entry's zero product cannot change, so the bytes are those of
+    one bincount.
 
-    When dt <= `ForwardOperator.positivity_dt` and the start density is
-    nonnegative, the step matrix is certified entrywise nonnegative, so no
-    check could fire (module docstring), and the step is the matvec and the
-    add alone.  Operators with cross-diffusion, cell Peclet numbers above 2
-    or negative entries of B and densities with negative cells keep the
-    per-step checks: a negative raw outflux is clamped to zero through R,
-    p += dt (L_h p - R min(B p, 0)), and likewise for the terminal masses,
-    or raises NegativeOutflux below -1e-6 max|F p|; a density undershooting
-    the rounding band raises NegativeDensity.  A negative or non-integer
-    n_steps, or mode arrays whose sizes differ from the grid's cell counts,
-    raise SolverError.
+    A start density with a cell below the rounding band, -1e-12 max p,
+    raises NegativeDensity before the first step.  When dt <=
+    `ForwardOperator.positivity_dt` and the start density is nonnegative, the
+    step matrix is certified entrywise nonnegative, so no check could fire
+    (module docstring), and the step is the matvec and the add alone.
+    Operators with cross-diffusion or cell Peclet numbers above 2, and start
+    densities with negative cells inside the band, keep the per-step check:
+    a density undershooting the rounding band raises NegativeDensity.  A
+    negative or non-integer n_steps, or mode arrays whose sizes differ from
+    the grid's cell counts, raise SolverError.
     """
     _check_count("n_steps", n_steps)
     if not dt > 0.0:
@@ -888,40 +889,25 @@ def evolve(model: HybridModel, grid: GridLayout, density: DensityState, dt: floa
     _check_cells(grid, density)
 
     op = grid.forward_operator()
-    n = op.n_cells
     names = model.terminal_states
-    n_b, n_t = op.outflux_edge.size, len(names)
-    head = n_b + n_t
+    n_t = len(names)
     step = grid._caches.get("step")
     if step is None:
-        # rows [0, n_b) are B, then T, then L_h, over the state [B slots | q | p]
-        blocks = (op.outflux, op.terminal, op.rate)
-        rows = np.concatenate([x[0] + at for x, at in zip(blocks, (0, n_b, head))])
-        cols = np.concatenate([x[1] for x in blocks]) + head
-        step = grid._caches["step"] = _BandedStep(rows, cols, head + n)
-    state, matvec = step.bind(np.concatenate((op.outflux[2], dt * op.terminal[2], dt * op.rate[2])))
-    q, p = state[n_b:head], state[head:]
+        # rows [0, n_t) are T, then L_h, over the state [q | p]
+        rows = np.concatenate((op.terminal[0], op.rate[0] + n_t))
+        cols = np.concatenate((op.terminal[1], op.rate[1])) + n_t
+        step = grid._caches["step"] = _BandedStep(rows, cols, n_t + op.n_cells)
+    state, matvec = step.bind(dt * np.concatenate((op.terminal[2], op.rate[2])))
+    q, p = state[:n_t], state[n_t:]
     q[:], p[:] = [density.q.get(name, 0.0) for name in names], op.flatten(density.p)
-    checked = not (dt <= op.positivity_dt and p.min(initial=0.0) >= 0.0)
     t = density.t
+    _check_density(op, p, t)
+    checked = not (dt <= op.positivity_dt and p.min(initial=0.0) >= 0.0)
     for _ in range(n_steps):
-        out = matvec()
-        raw = out[:n_b]
-        if checked and np.min(raw, initial=0.0) < 0.0:
-            _check_outflux(op, p, raw)
-            clamp = _matvec(op.routing, np.minimum(raw, 0.0), n + n_t)
-            out[n_b:head] = dt * (_matvec(op.terminal, p, n_t) - clamp[n:])
-            out[head:] = dt * (_matvec(op.rate, p, n) - clamp[:n])
-        state += out
+        state += matvec()
         t += dt
-        if checked and p.min() < 0.0:
-            tol = _NEG_DENSITY_REL_TOL * max(float(p.max()), 1e-300)
-            for q_idx, arr in enumerate(op.split(p)):
-                worst = float(np.min(arr))
-                if worst < -tol:
-                    raise NegativeDensity(
-                        f"mode {q_idx} density undershot to {worst:.3e} at t={t:.6g}"
-                    )
+        if checked:
+            _check_density(op, p, t)
     terms = dict(density.q)
     terms.update(zip(names, q.tolist()))
     return DensityState(op.split(p), terms, t)
@@ -932,25 +918,21 @@ def _check_count(name: str, value, low: int = 0):
         raise SolverError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def _check_outflux(op: ForwardOperator, p: np.ndarray, raw: np.ndarray):
-    """Refuse a raw outflux below -1e-6 max|F p|: the absorbing condition is broken."""
-    neg_tol = _NEG_OUTFLUX_REL_TOL * max(float(np.max(np.abs(op.face_currents(p)))), 1e-300)
-    bad = raw < -neg_tol
-    if np.any(bad):
-        edge = op.outflux_edge[np.argmax(bad)]
-        worst = float(np.min(raw[op.outflux_edge == edge]))
-        raise NegativeOutflux(
-            f"edge {edge}: boundary outflux {worst:.3e} is negative beyond "
-            "tolerance; the absorbing condition is broken"
-        )
+def _check_density(op: ForwardOperator, p: np.ndarray, t: float):
+    """Refuse a density with a cell below the rounding band, -1e-12 max p."""
+    if p.min() < 0.0:
+        tol = _NEG_DENSITY_REL_TOL * max(float(p.max()), 1e-300)
+        for q_idx, arr in enumerate(op.split(p)):
+            worst = float(np.min(arr))
+            if worst < -tol:
+                raise NegativeDensity(f"mode {q_idx} density undershot to {worst:.3e} at t={t:.6g}")
 
 
 def stationary_density(model: HybridModel, grid: GridLayout) -> DensityState:
     """Stationary mode densities by a sparse direct solve.
 
-    The one-step update is linear in the density (the outflux clamp is
-    inactive on nonnegative inputs), so the stationary profile solves
-    L_h p = 0 for the assembled operator on all cells.  The equation of one
+    The one-step update is linear in the density, so the stationary
+    profile solves L_h p = 0 for the assembled operator on all cells.  The equation of one
     cell, redundant when no terminal drains the model, is replaced by p = 1
     there: the reset-fed cell above the first image face, or the last cell
     when the model has no image face.  The system is solved by sparse LU, tiny

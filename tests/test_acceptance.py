@@ -225,9 +225,10 @@ def test_criterion_05_absorbing_condition():
     for dx in (0.04, 0.02, 0.01):
         n = int(round(8.0 / dx))
         grid = build_grid(model, n)
-        # the ghost rule's face value 0: a boundary face's current row holds
-        # only the edge cell, at twice an interior face's diffusive weight,
-        # and each boundary row of the outflux B has one entry
+        # face value 0: a boundary face's current is the fitted flux from
+        # its edge cell to p = 0 half a cell away, so its row holds only the
+        # edge cell, without drift at twice an interior face's diffusive
+        # weight, and each boundary row of the outflux B has one entry
         op = grid.forward_operator()
         rows, cols, vals = _coalesce(op.current, n)
         row = {f: (cols[rows == f].tolist(), vals[rows == f].tolist()) for f in (0, 1, n)}

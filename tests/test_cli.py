@@ -281,6 +281,35 @@ class TestRun:
         assert total + measure["per_time"][0]["zeno_count"] == 2000
 
 
+    @pytest.mark.parametrize("method", ["mc", "pde", "both"])
+    def test_box_less_inline_model_runs_mc_only(self, tmp_path, capsys, method):
+        # a halfspace model without 'box_hull' ended in "TypeError: cannot
+        # unpack non-iterable NoneType object" whatever the method
+        payload = {
+            "model": {
+                "modes": [{
+                    "halfspaces": [{"normal": [-1.0], "offset": 0.0}, {"normal": [1.0], "offset": 1.0}],
+                    "interior_point": [0.5],
+                    "drift": {"matrix": [[0.0]], "offset": [0.0]},
+                    "diffusion": [{"matrix": [[0.0]], "offset": [1.0]}],
+                }],
+                "reset_edges": [{"source_mode": 0, "source_face": f, "terminal": "out"} for f in (0, 1)],
+                "terminal_states": ["out"],
+            },
+            "initial": {"mode": 0, "mean": [0.5], "std": 0.05},
+            "method": method, "horizon": 0.1, "output_times": [0.1], "dt": 1e-2, "ensemble_size": 20,
+            "output_dir": str(tmp_path / "out"),
+        }
+        status = main(["run", str(write_config(tmp_path, payload))])
+        if method == "mc":
+            assert status == 0
+            measure = json.loads((tmp_path / "out" / "mc_measure.json").read_text())
+            assert "mode_histograms" not in measure["per_time"][0]
+        else:
+            assert status == 1
+            assert capsys.readouterr().err.startswith("error: UnsupportedDomain: mode 0 has no bounding box")
+
+
 class TestMain:
     def test_schema_command(self, capsys):
         assert main(["schema"]) == 0
@@ -364,10 +393,18 @@ class TestMain:
         ({"terminal_states": 5}, "model.terminal_states"),
         ({"reset_edges": [{"source_mode": "a", "source_face": 0, "terminal": "out"}]}, "source_mode"),
         ({"characteristic_faces": [1]}, "model.characteristic_faces"),
+        ({"modes": [{"box": [[0.0]]}]}, "mode 0 box must be a [lo, hi] pair"),
+        ({"modes": [{"halfspaces": [{"normal": [1.0]}], "interior_point": [0.5]}]},
+         "mode 0 halfspace 0 needs 'offset'"),
+        ({"modes": [{"halfspaces": [{"normal": [-1.0], "offset": 0.0}, {"normal": [1.0], "offset": 1.0}]}]},
+         "mode 0 needs 'interior_point'"),
+        ({"modes": [{"halfspaces": 3}]}, "mode 0 needs 'box' or a 'halfspaces' list"),
     ], ids=["mode_not_an_object", "modes_string", "terminal_states_int", "source_mode_string",
-            "characteristic_face_int"])
+            "characteristic_face_int", "box_one_corner", "halfspace_without_offset",
+            "mode_without_interior_point", "halfspaces_int"])
     def test_malformed_inline_models_are_config_errors(self, tmp_path, capsys, model, key):
-        # these printed "error: TypeError", "error: AttributeError" or "error: ValueError"
+        # these printed "error: TypeError", "error: AttributeError", "error: ValueError"
+        # or "error: KeyError"
         payload = {"model": model, "initial": {"mode": 0, "mean": [0.5], "std": 0.1}, "method": "mc",
                    "horizon": 0.1, "dt": 1e-2, "ensemble_size": 10, "output_dir": str(tmp_path / "out")}
         assert main(["run", str(write_config(tmp_path, payload))]) == 1

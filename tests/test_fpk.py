@@ -13,7 +13,6 @@ from resetsde.fpk import (
     CharacteristicFacePresent,
     MisalignedH,
     NegativeDensity,
-    NegativeOutflux,
     SolverError,
     StabilityViolation,
     UnsupportedDimension,
@@ -125,41 +124,77 @@ def cell_rates(grid, arrays):
 
 def beside_image(tab, k_cell):
     """Index of the target cells at along-index k_cell paired with the source faces."""
-    if tab.tgt_tangential is None:
-        return (k_cell,)
-    along = np.full(tab.tgt_tangential.size, k_cell)
-    return (along, tab.tgt_tangential) if tab.h_axis == 0 else (tab.tgt_tangential, along)
+    along = np.full(1 if tab.tgt_tangential is None else tab.tgt_tangential.size, k_cell)
+    return fpk._index(tab.h_axis, along, tab.tgt_tangential)
+
+
+def inner_divergence(grid, flat):
+    """-div F p over the inner faces: L_h p without the routing of the outflux B p."""
+    op = grid.forward_operator()
+    currents = op.face_currents(flat)
+    start, out = 0, []
+    for mg in grid.mode_grids:
+        div = np.zeros(mg.shape)
+        for k in range(mg.dimension):
+            face_shape = tuple(s + (i == k) for i, s in enumerate(mg.shape))
+            size = int(np.prod(face_shape))
+            j = np.moveaxis(currents[start : start + size].reshape(face_shape), k, 0).copy()
+            start += size
+            j[0] = j[-1] = 0.0
+            div -= np.moveaxis(np.diff(j, axis=0), 0, k) * mg.face_area(k) / mg.cell_volume
+        out.append(div)
+    return op.flatten(out)
 
 
 def assert_half_split(grid, tab):
-    """Each source face's outflux enters the two cells beside its image face, half in each."""
+    """Each source face's outflux enters the two cells beside its image face, half in each.
+
+    The density sits on the table's source edge cells alone, and what L_h p
+    adds to the inner-face divergence of F p is the routed outflux.
+    """
     op = grid.forward_operator()
-    unit = (op.outflux_edge == tab.edge_index).astype(float)
-    routed = _matvec(op.routing, unit, op.n_cells + len(grid.model.terminal_states))
+    arrays = [np.zeros(mg.shape) for mg in grid.mode_grids]
+    sg = grid.mode_grids[tab.source_mode]
+    m = 1 if sg.dimension == 1 else sg.shape[1 - tab.src_axis]
+    along = np.full(m, 0 if tab.src_side == 0 else sg.shape[tab.src_axis] - 1)
+    tang = None if sg.dimension == 1 else np.arange(m)
+    arrays[tab.source_mode][fpk._index(tab.src_axis, along, tang)] = np.linspace(1.0, 2.0, m)
+    flat = op.flatten(arrays)
+    rates = _matvec(op.rate, flat, op.n_cells)
+    out = op.boundary_outflux(flat)[op.outflux_edge == tab.edge_index]
+    assert np.all(out > 0.0)
     tg = grid.mode_grids[tab.target_mode]
-    received = op.split(routed[: op.n_cells])[tab.target_mode] * tg.cell_volume
+    received = op.split(rates - inner_divergence(grid, flat))[tab.target_mode] * tg.cell_volume
     expected = np.zeros(tg.shape)
     for k_cell in (tab.h_face_index - 1, tab.h_face_index):
-        expected[beside_image(tab, k_cell)] = 0.5 * tab.source_area
+        expected[beside_image(tab, k_cell)] = 0.5 * out * tab.source_area
     # the source edge cells lose the outflux; any of them in the target mode is negative
-    assert np.max(np.abs(np.maximum(received, 0.0) - expected)) <= 1e-15 * tab.source_area
+    tol = 1e-12 * float(np.max(np.abs(rates))) * tg.cell_volume
+    assert np.max(np.abs(np.maximum(received, 0.0) - expected)) <= tol
 
 
 def three_point_response(grid, flat):
     """[cell rates; terminal rates] of a flat density, written out face by face.
 
     Along each axis J = b p_f - 1/2 sum_r A_r (A_r p)' on a three-point
-    stencil: p_f is the mean of the two cells and a ghost beyond each box side
-    is the negated edge cell; image faces are ordinary faces.  The outflux of
-    each boundary face, clamped at zero, leaves its edge cell and enters its
-    terminal or, half in each, the two cells beside its image face.  The
-    diffusion vectors must be axis-aligned: there are no tangential terms.
+    stencil: p_f is the mean of the two cells; image faces are ordinary faces.
+    A boundary face carries the fitted flux from its edge cell to p = 0 half a
+    cell away, J = -/+ (D/h) B(-/+ v h/D) p_edge on the lower / upper face,
+    with B(x) = x / expm1(x), D = 1/2 sum_r A_r^2 and v = b - 1/2 sum_r A_r
+    dA_r/dx taken between the face and the edge cell.  The outflux of each
+    boundary face leaves its edge cell and enters its terminal or, half in
+    each, the two cells beside its image face.  The diffusion vectors must be
+    axis-aligned: there are no tangential terms.
     """
     model = grid.model
     op = grid.forward_operator()
 
     def ghosted(v):
         return np.concatenate([-v[:1], v, -v[-1:]])
+
+    def fitted(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x == 0.0, 1.0, x / np.expm1(x))
 
     rates, outflux = [], {}
     for q, (mg, p) in enumerate(zip(grid.mode_grids, op.split(flat))):
@@ -180,19 +215,27 @@ def three_point_response(grid, flat):
             for a in fields.diffusion:
                 apg = ghosted(pk * along(a, centers))
                 j -= 0.5 * along(a, faces) * np.diff(apg, axis=0) / mg.dx[k]
+            h = 0.5 * mg.dx[k]
+            for end, sign in ((0, -1.0), (-1, 1.0)):
+                a_face = [along(a, faces)[end] for a in fields.diffusion]
+                a_cell = [along(a, centers)[end] for a in fields.diffusion]
+                big_d = sum(0.5 * af * af for af in a_face)
+                v = along(fields.drift, faces)[end] - sign * sum(
+                    0.5 * af * (af - ac) / h for af, ac in zip(a_face, a_cell)
+                )
+                j[end] = sign * (big_d / h) * fitted(-sign * v * h / big_d) * pk[end]
             outflux[(q, k, 0)], outflux[(q, k, 1)] = -j[0], j[-1].copy()
-            j[0], j[-1] = np.minimum(j[0], 0.0), np.maximum(j[-1], 0.0)
             rate -= np.moveaxis(np.diff(j, axis=0), 0, k) * mg.face_area(k) / mg.cell_volume
         rates.append(rate)
     terminal = dict.fromkeys(model.terminal_states, 0.0)
     for tab in grid.surface_tables:
-        out = np.maximum(outflux[(tab.source_mode, tab.src_axis, tab.src_side)], 0.0)
+        out = outflux[(tab.source_mode, tab.src_axis, tab.src_side)]
         tg = grid.mode_grids[tab.target_mode]
         for k_cell in (tab.h_face_index - 1, tab.h_face_index):
             idx = beside_image(tab, k_cell)
             np.add.at(rates[tab.target_mode], idx, 0.5 * out * tab.source_area / tg.cell_volume)
     for tab in grid.terminal_tables:
-        out = np.maximum(outflux[(tab.source_mode, tab.src_axis, tab.src_side)], 0.0)
+        out = outflux[(tab.source_mode, tab.src_axis, tab.src_side)]
         area = grid.mode_grids[tab.source_mode].face_area(tab.src_axis)
         terminal[tab.terminal] += float(np.sum(out)) * area
     return np.concatenate([r.reshape(-1) for r in rates] + [list(terminal.values())])
@@ -257,9 +300,10 @@ class TestBuildGrid:
 
 class TestAbsorbingBC:
     def test_boundary_rows_see_a_face_density_of_zero(self):
-        # the absorbing ghost is the negated edge cell, so a boundary face's
-        # current row holds only the edge cell, at twice an interior face's
-        # diffusive weight: the one-sided difference to p = 0 at the face
+        # a boundary face's current is the fitted flux from its edge cell to
+        # p = 0 at the face, so its row holds only the edge cell; without
+        # drift that is twice an interior face's diffusive weight, the
+        # one-sided difference over half a cell
         model = brownian_interval(0.0, 1.0)
         grid = build_grid(model, 50)
         op = grid.forward_operator()
@@ -436,29 +480,29 @@ class TestTransferFlux:
         assert np.all(_matvec(op.terminal, zero, 1) == 0.0)
 
     def test_thermostat_sink_equals_source_exactly(self):
+        # read from the [L_h; T] column of each boundary face's edge cell: a
+        # reset face's outflux enters the two cells beside its image face,
+        # half in each, a terminal face's enters its terminal, and the edge
+        # cell loses what its column hands to every other row
         model = thermostat_1d()
         grid = build_grid(model, thermostat_resolution(0.01))
-        density = point_density(grid, 0, 20.0, 0.3)
-        # evolve a little so flux reaches the switching faces
-        dt = stable_dt(grid, 0.9)
-        state = evolve(model, grid, density, dt, 500)
         op = grid.forward_operator()
-        raw = op.boundary_outflux(op.flatten(state.p))
-        routed = _matvec(op.routing, raw, op.n_cells + 1)
-        vol = np.concatenate([np.full(mg.shape, mg.cell_volume) for mg in grid.mode_grids])
-        # each reset face's outflux leaves its edge cell and enters the two
-        # cells beside its image face, half in each; the terminal receives the rest
-        for tab in grid.surface_tables:
-            out = float(raw[op.outflux_edge == tab.edge_index][0])
-            assert out > 0.0
+        dense = dense_operator(grid)
+        vol = np.concatenate([np.full(mg.shape, mg.cell_volume) for mg in grid.mode_grids] + [[1.0]])
+        for tab in grid.surface_tables + grid.terminal_tables:
             n_src = grid.mode_grids[tab.source_mode].shape[0]
             edge_cell = op.offsets[tab.source_mode] + (0 if tab.src_side == 0 else n_src - 1)
-            assert -routed[edge_cell] * vol[edge_cell] == pytest.approx(out, rel=1e-15)
-            for k_cell in (tab.h_face_index - 1, tab.h_face_index):
-                cell = op.offsets[tab.target_mode] + k_cell
-                assert routed[cell] * vol[cell] == pytest.approx(out / 2, rel=1e-15)
-        total = float(routed[: op.n_cells] @ vol) + float(routed[-1])
-        assert abs(total) <= 1e-15 * float(np.sum(np.abs(raw)))
+            unit = np.zeros(op.n_cells)
+            unit[edge_cell] = 1.0
+            out = float(op.boundary_outflux(unit)[op.outflux_edge == tab.edge_index][0])
+            assert out > 0.0
+            column = dense[:, edge_cell] * vol
+            if isinstance(tab, fpk.TransferTable):
+                for k_cell in (tab.h_face_index - 1, tab.h_face_index):
+                    assert column[op.offsets[tab.target_mode] + k_cell] == pytest.approx(out / 2, rel=1e-15)
+            else:
+                assert column[-1] == pytest.approx(out, rel=1e-15)
+            assert abs(float(np.sum(column))) <= 1e-15 * float(np.sum(np.abs(column)))
 
     def test_brownian_terminal_rate_is_boundary_outflux(self):
         model = brownian_interval(0.0, 8.0)
@@ -473,19 +517,19 @@ class TestTransferFlux:
         out0 = op.boundary_outflux(flat)[op.outflux_edge == tab.edge_index]
         assert rates[model.terminal_states.index("hit")] == pytest.approx(float(out0[0]), abs=1e-18)
 
-    def test_negative_outflux_detected(self):
+    def test_negative_start_density_refused(self):
         model = brownian_interval(0.0, 1.0)
         grid = build_grid(model, 20)
-        # an adversarial density with a negative cell next to the boundary
+        # an adversarial density with a negative cell next to the boundary,
+        # whose outflux would be negative
         arr = np.full(20, 0.1)
         arr[0] = -0.5
         op = grid.forward_operator()
-        flat = op.flatten([arr])
-        worst = float(np.min(op.boundary_outflux(flat)))
-        assert worst < -1e-6 * float(np.max(np.abs(op.face_currents(flat))))
+        assert float(np.min(op.boundary_outflux(op.flatten([arr])))) < 0.0
         density = DensityState([arr], {"hit": 0.0, "escaped": 0.0}, 0.0)
-        with pytest.raises(NegativeOutflux, match="edge 0"):
-            evolve(model, grid, density, stable_dt(grid, 0.9), 1)
+        for n_steps in (1, 0):
+            with pytest.raises(NegativeDensity, match="mode 0 density undershot to -5.000e-01 at t=0"):
+                evolve(model, grid, density, stable_dt(grid, 0.9), n_steps)
 
 
 class TestEvolve:
@@ -529,7 +573,7 @@ class TestEvolve:
         p = op.flatten(density.p)
         q = np.zeros(len(names))
         for _ in range(n_steps):
-            assert matvec(op.outflux, p, op.outflux_edge.size).min() >= 0.0   # never clamped
+            assert matvec(op.outflux, p, op.outflux_edge.size).min() >= 0.0
             q += matvec(op.terminal, p, len(names), dt)
             p += matvec(op.rate, p, n_cells, dt)
         out = evolve(model, grid, density, dt, n_steps)
@@ -541,10 +585,10 @@ class TestEvolve:
     @pytest.mark.parametrize(
         "model, resolution, mean, bands, n_mixed",
         [
-            # 4 B rows, 1 T row and the 4 cells beside the two image faces
-            (thermostat_1d, thermostat_resolution(0.005), 20.0, [-1, 0, 1], 9),
-            # 54 rows: every diagonal is too short, so the step is one bincount
-            (gamblers_ruin_model, 50, 0.3, [], 54),
+            # 1 T row and the 4 cells beside the two image faces
+            (thermostat_1d, thermostat_resolution(0.005), 20.0, [-1, 0, 1], 5),
+            # 52 rows: every diagonal is too short, so the step is one bincount
+            (gamblers_ruin_model, 50, 0.3, [], 52),
         ],
         ids=["thermostat_1d", "gamblers_ruin"],
     )
@@ -884,8 +928,23 @@ def recurrent_two_mode_2d():
     return build_model(ModelSpec(2, [mode_a, mode_b], edges, terminal_states=[]))
 
 
+def variable_noise_interval():
+    """Affine drift and noise 0.2 + 0.3 x on (0, 1), so the fitted faces see
+    an Ito correction; the upper end resets onto x = 1/2."""
+    mode = Mode(
+        interval_domain(0.0, 1.0),
+        VectorFieldSet(AffineField([[-1.0]], [0.4]), (AffineField([[0.3]], [0.2]),)),
+    )
+    edges = [
+        ResetEdge(0, 0, TerminalTarget("out")),
+        ResetEdge(0, 1, SurfaceTarget(0, AffineMap([[1.0]], [-0.5]))),
+    ]
+    return build_model(ModelSpec(1, [mode], edges, terminal_states=["out"]))
+
+
 OPERATOR_CASES = {
     "thermostat_1d": lambda: (thermostat_1d(), thermostat_resolution(0.04)),
+    "variable_noise_1d": lambda: (variable_noise_interval(), 20),
     "gamblers_ruin": lambda: (gamblers_ruin_model(), 40),
     "two_box_2d": lambda: (Test2DTransfer().build_two_box_model(), [(8, 8), (16, 8)]),
     "recurrent_2d": lambda: (recurrent_two_mode_2d(), 8),
@@ -904,7 +963,7 @@ CERTIFICATE_CASES = {
     "recurrent_2d": (lambda: (recurrent_two_mode_2d(), 8), 1.0, True),
     # cell Peclet number above 2
     "thermostat_1d dx 0.02": (lambda: (thermostat_1d(), thermostat_resolution(0.02)), 1.0, False),
-    # cross-diffusion: negative entries of B and L_h
+    # cross-diffusion: negative off-diagonal entries of L_h
     "sheared_box_2d": (lambda: (sheared_box_2d(), [(16, 24)]), 0.9, False),
     # absorbing corner cells: the diagonal limit caps the stability bound
     "two_box_2d": (lambda: (Test2DTransfer().build_two_box_model(), [(20, 20), (40, 20)]), 0.9, True),
@@ -1081,44 +1140,15 @@ class TestForwardOperator:
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
-    def test_negative_outflux_step_takes_the_clamping_path(self):
-        # a small negative edge cell drives the raw boundary outflux below
-        # zero; that step must equal the clamped three-point step
-        model = brownian_interval(0.0, 1.0)
-        grid = build_grid(model, 20)
-        arr = np.full(20, 0.5)
-        arr[0] = -1e-9
-        density = DensityState([arr], {"hit": 0.0, "escaped": 0.0}, 0.0)
-        dt = stable_dt(grid, 0.9)
-        out = evolve(model, grid, density, dt, 1)
-        expected = arr + dt * three_point_response(grid, arr)[:20]
-        assert np.max(np.abs(out.p[0] - expected)) <= 1e-14 * np.max(arr)
-        assert out.q["hit"] == 0.0
-        assert out.q["escaped"] > 0.0
-
-    def test_negative_outflux_at_reset_source_faces_is_clamped(self):
-        model = thermostat_1d()
-        grid = build_grid(model, thermostat_resolution(0.02))
-        state = point_density(grid, 0, 20.0, 0.5)
-        state.p[1] = state.p[0][::-1].copy()
-        state.p[0][0] = -1e-9
-        state.p[1][-1] = -1e-9
-        op = grid.forward_operator()
-        flat = op.flatten(state.p)
-        raw = op.boundary_outflux(flat)
-        assert all(raw[op.outflux_edge == tab.edge_index] < 0.0 for tab in grid.surface_tables)
-        dt = stable_dt(grid, 0.9)
-        out = evolve(model, grid, state, dt, 1)
-        expected = np.append(flat, 0.0) + dt * three_point_response(grid, flat)
-        got = np.append(op.flatten(out.p), out.q["truncated"])
-        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(flat)
-
     @pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
     def test_positivity_certificate(self, case):
         build, fraction, certified = CERTIFICATE_CASES[case]
         model, resolution = build()
         grid = build_grid(model, resolution)
-        assert (stable_dt(grid, fraction) <= grid.forward_operator().positivity_dt) == certified
+        op = grid.forward_operator()
+        assert (stable_dt(grid, fraction) <= op.positivity_dt) == certified
+        # fitted boundary faces: the outflux of a nonnegative density is nonnegative
+        assert np.all(op.outflux[2] >= 0.0) and np.all(op.terminal[2] >= 0.0)
 
     @pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
     def test_stable_dt_keeps_the_diagonal_of_the_step_positive(self, case):
@@ -1127,9 +1157,9 @@ class TestForwardOperator:
         rows, cols, vals = grid.forward_operator().rate
         assert stable_dt(grid, 1.0) * np.max(np.abs(vals[rows == cols])) < 1.0
 
-    def test_uncertified_cross_diffusion_keeps_the_outflux_check(self):
-        # the tangential stencil term at an absorbing face gives B negative
-        # entries, so a centred Gaussian has a negative raw outflux at once
+    def test_uncertified_cross_diffusion_keeps_the_density_check(self):
+        # the tangential stencil terms give L_h negative off-diagonal entries,
+        # so the step is not certified and a centred Gaussian undershoots
         model = sheared_box_2d()
         grid = build_grid(model, [(16, 24)])
         assert grid.forward_operator().positivity_dt == 0.0
@@ -1137,17 +1167,22 @@ class TestForwardOperator:
         density = project_density(
             grid, [lambda x: np.exp(-0.5 * np.sum(((x - [0.5, 1.0]) / std) ** 2, axis=-1))]
         )
-        with pytest.raises(NegativeOutflux, match="edge 2"):
-            evolve(model, grid, density, stable_dt(grid, 0.9), 1)
+        with pytest.raises(NegativeDensity, match=r"mode 0 density undershot to .* at t=0\.0228"):
+            evolve(model, grid, density, stable_dt(grid, 0.9), 400)
 
-    def test_negative_outflux_beyond_tolerance_refused_by_evolve(self):
+    def test_start_density_below_the_rounding_band_refused_by_evolve(self):
+        # the band is 1e-12 of the largest cell: a cell inside it starts the
+        # checked steps, one below it is refused before the first step
         model = brownian_interval(0.0, 1.0)
         grid = build_grid(model, 20)
         arr = np.full(20, 0.1)
-        arr[0] = -0.5
+        arr[0] = -0.5e-13
         density = DensityState([arr], {"hit": 0.0, "escaped": 0.0}, 0.0)
-        with pytest.raises(NegativeOutflux):
-            evolve(model, grid, density, stable_dt(grid, 0.9), 1)
+        out = evolve(model, grid, density, stable_dt(grid, 0.9), 5)
+        assert float(np.min(out.p[0])) > 0.0
+        arr[0] = -2e-13
+        with pytest.raises(NegativeDensity, match="at t=0"):
+            evolve(model, grid, density, stable_dt(grid, 0.9), 5)
 
 
 @st.composite
